@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify
-from .episodes import EmbeddingSet, Episode, EvalConfig, _classifier_scores, _labeled_support_refs
+from .episodes import EmbeddingSet, Episode, EvalConfig, infer
 from .errors import DimensionMismatch, SameClassPair
 from .graph import GraphConfig, pairwise_sq_distances
 from .propagation import PropagationMode, propagate_embeddings
@@ -98,14 +98,11 @@ def interpolation_curve(
         raise SameClassPair(f"nodes {i} and {j} are both class {ep.classes[yi]!r}")
 
     z = data.embeddings[ep.node_indices()]
-    ref_rows, ref_classes = _labeled_support_refs(ep)
     grid = np.linspace(0.0, 1.0, grid_size)
     probs = np.empty(grid_size)
     for g, w in enumerate(grid):
         extra = w * z[i] + (1.0 - w) * z[j]
-        batch = np.vstack([z, extra])
-        ztilde, _ = propagate_embeddings(batch, cfg.graph, cfg.mode)
-        scores = _classifier_scores(ztilde, ref_rows, ref_classes, ep.n_way, cfg)
+        scores = infer(np.vstack([z, extra]), ep, cfg)
         probs[g] = classify.softmax_probs(scores[-1:])[0, yi]
     max_jump = float(np.abs(np.diff(probs)).max())
     return InterpolationCurve(i=int(i), j=int(j), grid=grid, probs=probs, max_jump=max_jump)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classify
+from . import classify, graph
 from .errors import (
+    EmptyClass,
     InsufficientClassCount,
     InsufficientClassSize,
     InvariantViolation,
@@ -130,6 +131,9 @@ class Episode:
             raise InvariantViolation(f"query must be ({n_way}, q), got {query.shape}")
         if mask.shape != support.shape:
             raise InvariantViolation("labeled_mask must match support shape")
+        has_label = mask.any(axis=1)
+        if not has_label.all():
+            raise EmptyClass(f"class {int(np.argmin(has_label))} has no labeled support")
         combined = np.concatenate([support.ravel(), query.ravel(), unlabeled])
         if len(np.unique(combined)) != combined.size:
             raise InvariantViolation("support, query, and unlabeled indices overlap")
@@ -207,7 +211,6 @@ class EvalReport:
     mean: float
     ci95: float
     config: EvalConfig
-    seed: int
     wall_ms: int
 
 
@@ -277,28 +280,35 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
     )
 
 
-def _labeled_support_refs(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
-    """(node positions, class indices) of the labeled support rows."""
-    flat_mask = ep.labeled_mask.ravel()
-    positions = np.flatnonzero(flat_mask)
-    class_of_support = np.repeat(np.arange(ep.n_way), ep.k_shot)
-    return positions, class_of_support[positions]
+def infer(z, ep: Episode, cfg: EvalConfig, pool=None) -> np.ndarray:
+    """Transductive scores of every row of the batch `z` for episode `ep`.
 
+    Propagates `z` per cfg.mode, then scores all rows against the labeled
+    supports of `ep` (the first node positions of `z`) with cfg.classifier.
+    Label propagation builds one graph on the propagated batch and scores
+    with P @ Y. Given `pool` (node positions), pool rows are pseudo-labeled
+    by argmax and every row is rescored with them as extra references,
+    against the same graph.
 
-def _classifier_scores(
-    ztilde: np.ndarray,
-    ref_rows: np.ndarray,
-    ref_classes: np.ndarray,
-    n_classes: int,
-    cfg: EvalConfig,
-) -> np.ndarray:
-    """Score every row of `ztilde` against the labeled reference rows."""
+    Returns the (rows of z, n_way) score matrix.
+    """
+    ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
     if cfg.classifier is Classifier.LABEL_PROP:
-        y = classify.build_label_matrix(ztilde.shape[0], n_classes, ref_rows, ref_classes)
-        return classify.label_propagation_scores(ztilde, y, cfg.graph)
-    return classify.prototypical_scores(
-        ztilde[ref_rows], ref_classes, ztilde, n_classes=n_classes
-    )
+        p = graph.build_propagator(ztilde, cfg.graph).matrix
+
+        def score(rows, classes):
+            return p @ classify.build_label_matrix(ztilde.shape[0], ep.n_way, rows, classes)
+    else:
+        def score(rows, classes):
+            return classify.prototypical_scores(ztilde[rows], classes, ztilde, n_classes=ep.n_way)
+
+    rows = np.flatnonzero(ep.labeled_mask.ravel())  # labeled supports, class-major
+    classes = rows // ep.k_shot
+    scores = score(rows, classes)
+    if pool is None:
+        return scores
+    pseudo = classify.predict(scores[pool])
+    return score(np.concatenate([rows, pool]), np.concatenate([classes, pseudo]))
 
 
 def query_truth(ep: Episode) -> np.ndarray:
@@ -311,20 +321,14 @@ def run_episode(
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Transductive inference on one episode.
 
-    Stacks support, query, and unlabeled rows, propagates the embeddings per
-    cfg.mode, scores all nodes with the configured classifier, and predicts
-    the query rows.
+    Stacks support, query, and unlabeled rows, scores all nodes with `infer`,
+    and predicts the query rows.
 
     Returns (query predictions as episode class indices, query accuracy,
     score matrix over all nodes).
     """
-    z = data.embeddings[ep.node_indices()]
-    ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
-    ref_rows, ref_classes = _labeled_support_refs(ep)
-    scores = _classifier_scores(ztilde, ref_rows, ref_classes, ep.n_way, cfg)
-    q_lo = ep.n_support
-    q_hi = q_lo + ep.n_query
-    preds = classify.predict(scores[q_lo:q_hi])
+    scores = infer(data.embeddings[ep.node_indices()], ep, cfg)
+    preds = classify.predict(scores[ep.n_support : ep.n_support + ep.n_query])
     accuracy = float(np.mean(preds == query_truth(ep)))
     return preds, accuracy, scores
 
@@ -334,28 +338,17 @@ def ssl_predict(data: EmbeddingSet, ep: Episode, cfg: EvalConfig) -> np.ndarray:
 
     Pass 1 runs the standard pipeline and hard-argmax labels the pool (the
     episode's unlabeled rows plus any masked-out supports). Pass 2 treats the
-    pseudo-labels as true support labels and reruns inference. Exactly two
-    passes, no fixpoint iteration.
+    pseudo-labels as true support labels and rescores. Exactly two passes,
+    no fixpoint iteration.
     """
-    flat_mask = ep.labeled_mask.ravel()
-    unlabeled_support = np.flatnonzero(~flat_mask)
     q_lo = ep.n_support
     q_hi = q_lo + ep.n_query
+    unlabeled_support = np.flatnonzero(~ep.labeled_mask.ravel())
     pool = np.concatenate([unlabeled_support, np.arange(q_hi, q_hi + ep.n_unlabeled)])
     if pool.size == 0:
         raise NoUnlabeledPool("episode has no unlabeled rows and all supports are labeled")
-
-    z = data.embeddings[ep.node_indices()]
-    ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
-    ref_rows, ref_classes = _labeled_support_refs(ep)
-
-    first = _classifier_scores(ztilde, ref_rows, ref_classes, ep.n_way, cfg)
-    pseudo = classify.predict(first[pool])
-
-    aug_rows = np.concatenate([ref_rows, pool])
-    aug_classes = np.concatenate([ref_classes, pseudo])
-    second = _classifier_scores(ztilde, aug_rows, aug_classes, ep.n_way, cfg)
-    return classify.predict(second[q_lo:q_hi])
+    scores = infer(data.embeddings[ep.node_indices()], ep, cfg, pool)
+    return classify.predict(scores[q_lo:q_hi])
 
 
 def confidence_interval95(accuracies) -> float:
@@ -376,17 +369,18 @@ def _episode_accuracy(data: EmbeddingSet, cfg: EvalConfig, index: int) -> float:
 
 
 def thread_count() -> int:
-    """Episode-level worker count; the EP_THREADS env var caps it."""
+    """Episode-level worker count: EP_THREADS, else min(cpus, 8); never above the CPU count."""
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("EP_THREADS")
     if raw is None or raw == "":
-        return max(1, min(os.cpu_count() or 1, _DEFAULT_MAX_WORKERS))
+        return min(cpus, _DEFAULT_MAX_WORKERS)
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}")
-    return n
+    return min(n, cpus)
 
 
 def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
@@ -409,6 +403,5 @@ def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
         mean=float(np.mean(accuracies)),
         ci95=confidence_interval95(accuracies),
         config=cfg,
-        seed=cfg.seed,
         wall_ms=wall_ms,
     )

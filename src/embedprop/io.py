@@ -204,7 +204,6 @@ def _save_binary(data: EmbeddingSet, path) -> None:
 def config_to_dict(cfg: EvalConfig) -> dict:
     """EvalConfig as plain JSON-ready data (enums become their string values)."""
     out = dataclasses.asdict(cfg)
-    out["graph"] = dataclasses.asdict(cfg.graph)
     out["mode"] = cfg.mode.value
     out["classifier"] = cfg.classifier.value
     out["ssl"] = cfg.ssl.value
@@ -215,7 +214,7 @@ def report_to_dict(report: EvalReport) -> dict:
     """Fixed-key report schema; keys are stable across versions."""
     return {
         "config": config_to_dict(report.config),
-        "seed": report.seed,
+        "seed": report.config.seed,
         "episodes": len(report.accuracies),
         "accuracies": list(report.accuracies),
         "mean": report.mean,

@@ -36,16 +36,12 @@ class TestInterpolationCurve:
         curve = interpolation_curve(data, ep, i, j, 5, cfg)
 
         from embedprop.classify import softmax_probs
-        from embedprop.episodes import _classifier_scores, _labeled_support_refs
-        from embedprop.propagation import propagate_embeddings
+        from embedprop.episodes import infer
 
         z = data.embeddings[ep.node_indices()]
-        refs = _labeled_support_refs(ep)
         for weight, pos in ((1.0, i), (0.0, j)):
             batch = np.vstack([z, weight * z[i] + (1 - weight) * z[j]])
-            ztilde, _ = propagate_embeddings(batch, cfg.graph, cfg.mode)
-            scores = _classifier_scores(ztilde, refs[0], refs[1], ep.n_way, cfg)
-            probs = softmax_probs(scores)
+            probs = softmax_probs(infer(batch, ep, cfg))
             node_prob = probs[pos, 0]
             curve_prob = curve.probs[-1] if weight == 1.0 else curve.probs[0]
             assert abs(curve_prob - node_prob) <= 1e-9

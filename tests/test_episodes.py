@@ -4,29 +4,34 @@ import math
 import numpy as np
 import pytest
 
-from embedprop.classify import predict, prototypical_scores
+from embedprop import episodes, graph
+from embedprop.classify import build_label_matrix, label_propagation_scores, predict, prototypical_scores
 from embedprop.diagnostics import gaussian_clusters
 from embedprop.episodes import (
     Classifier,
     EmbeddingSet,
+    Episode,
     EvalConfig,
     SslMode,
     confidence_interval95,
     evaluate,
+    infer,
     labeled_count,
     query_truth,
     run_episode,
     sample_episode,
     ssl_predict,
+    thread_count,
 )
 from embedprop.errors import (
+    EmptyClass,
     InsufficientClassCount,
     InsufficientClassSize,
     InvariantViolation,
     NoUnlabeledPool,
 )
 from embedprop.graph import GraphConfig
-from embedprop.propagation import PropagationMode
+from embedprop.propagation import PropagationMode, propagate_embeddings
 
 
 def grid_dataset(n_classes=20, per_class=40, seed=0):
@@ -128,6 +133,18 @@ class TestSampleEpisode:
         assert sorted(counts) == [2, 2, 2, 3, 3]
 
 
+class TestEpisode:
+    def test_class_without_labeled_support_rejected(self):
+        with pytest.raises(EmptyClass, match="class 1"):
+            Episode(
+                classes=("a", "b", "c"),
+                support=np.array([[0, 1], [2, 3], [4, 5]]),
+                query=np.array([[6], [7], [8]]),
+                unlabeled=np.empty(0, dtype=np.intp),
+                labeled_mask=np.array([[True, False], [False, False], [False, True]]),
+            )
+
+
 class TestRunEpisode:
     def test_point_mass_classes_are_trivial(self):
         emb = np.array([[0.0, 0.0]] * 10 + [[100.0, 0.0]] * 10)
@@ -191,10 +208,7 @@ class TestSslPredict:
         preds = ssl_predict(data, ep, cfg)
         assert preds.shape == (ep.n_query,)
         # pass 2 references = n*k labeled supports + the whole pool
-        from embedprop.episodes import _labeled_support_refs
-
-        ref_rows, _ = _labeled_support_refs(ep)
-        assert ref_rows.size + ep.n_unlabeled == 5 * 1 + 100
+        assert int(ep.labeled_mask.sum()) + ep.n_unlabeled == 5 * 1 + 100
 
     def test_pool_point_identical_to_support(self):
         emb = np.array([
@@ -202,8 +216,6 @@ class TestSslPredict:
             [10.0, 0.0], [10.0, 0.0], [10.0, 0.1],  # class b
         ])
         data = EmbeddingSet(emb, ("a", "a", "a", "b", "b", "b"))
-        from embedprop.episodes import Episode
-
         ep = Episode(
             classes=("a", "b"),
             support=np.array([[0], [3]]),
@@ -213,13 +225,7 @@ class TestSslPredict:
         )
         cfg = EvalConfig(n_way=2, k_shot=1, q_queries=1, u_unlabeled=2,
                          episodes=1, ssl=SslMode.PSEUDO_LABEL)
-        z = data.embeddings[ep.node_indices()]
-        from embedprop.episodes import _classifier_scores, _labeled_support_refs
-        from embedprop.propagation import propagate_embeddings
-
-        ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
-        ref_rows, ref_classes = _labeled_support_refs(ep)
-        scores = _classifier_scores(ztilde, ref_rows, ref_classes, 2, cfg)
+        scores = infer(data.embeddings[ep.node_indices()], ep, cfg)
         pseudo = predict(scores[4:6])  # pool rows come last
         np.testing.assert_array_equal(pseudo, [0, 1])
 
@@ -229,6 +235,48 @@ class TestSslPredict:
         ep = sample_episode(data, cfg, 0)
         with pytest.raises(NoUnlabeledPool):
             ssl_predict(data, ep, cfg)
+
+    @pytest.mark.parametrize(
+        "classifier,builds", [(Classifier.LABEL_PROP, 2), (Classifier.PROTOTYPICAL, 1)]
+    )
+    def test_one_label_graph_per_batch(self, monkeypatch, classifier, builds):
+        # one graph for embedding propagation, plus one label graph on ztilde
+        # that both passes score against
+        data = grid_dataset(n_classes=6, per_class=30)
+        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, u_unlabeled=5,
+                         episodes=1, classifier=classifier, ssl=SslMode.PSEUDO_LABEL)
+        ep = sample_episode(data, cfg, 0)
+        calls = []
+        original = graph.build_propagator
+
+        def counting(z, gcfg):
+            calls.append(z.shape)
+            return original(z, gcfg)
+
+        monkeypatch.setattr(graph, "build_propagator", counting)
+        ssl_predict(data, ep, cfg)
+        assert len(calls) == builds
+
+    def test_matches_public_api_chain(self):
+        data = grid_dataset(n_classes=8, per_class=30)
+        cfg = EvalConfig(n_way=5, k_shot=3, q_queries=4, u_unlabeled=10,
+                         labeled_fraction=0.4, episodes=1, ssl=SslMode.PSEUDO_LABEL)
+        for index in range(5):
+            ep = sample_episode(data, cfg, index)
+            z = data.embeddings[ep.node_indices()]
+            ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
+            mask = ep.labeled_mask.ravel()
+            rows = np.flatnonzero(mask)
+            classes = np.repeat(np.arange(ep.n_way), ep.k_shot)[rows]
+            q_hi = ep.n_support + ep.n_query
+            pool = np.concatenate([np.flatnonzero(~mask), np.arange(q_hi, z.shape[0])])
+            y = build_label_matrix(z.shape[0], ep.n_way, rows, classes)
+            first = label_propagation_scores(ztilde, y, cfg.graph)
+            y2 = build_label_matrix(z.shape[0], ep.n_way, np.concatenate([rows, pool]),
+                                    np.concatenate([classes, predict(first[pool])]))
+            second = label_propagation_scores(ztilde, y2, cfg.graph)
+            expected = predict(second[ep.n_support:q_hi])
+            np.testing.assert_array_equal(ssl_predict(data, ep, cfg), expected)
 
     def test_partial_labels_make_a_pool(self):
         data = grid_dataset(n_classes=6, per_class=30)
@@ -264,6 +312,22 @@ class TestEvaluate:
         threaded = evaluate(data, cfg)
         assert serial.accuracies == threaded.accuracies
         assert serial.mean == threaded.mean and serial.ci95 == threaded.ci95
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        # pure function of the env var and os.cpu_count; starts no thread
+        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("EP_THREADS", "64")
+        assert thread_count() == 3
+        monkeypatch.setenv("EP_THREADS", "2")
+        assert thread_count() == 2
+        monkeypatch.delenv("EP_THREADS")
+        assert thread_count() == 3
+        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 32)
+        assert thread_count() == 8
+        monkeypatch.setattr(episodes.os, "cpu_count", lambda: None)
+        assert thread_count() == 1
+        monkeypatch.setenv("EP_THREADS", "4")
+        assert thread_count() == 1
 
     def test_bad_ep_threads_rejected(self, monkeypatch):
         data = grid_dataset(n_classes=6, per_class=20)
