@@ -56,7 +56,7 @@ def label_propagation_scores(ztilde, labels, cfg: GraphConfig) -> np.ndarray:
         )
     _check_label_matrix(y)
     prop = graph.build_propagator(ztilde, cfg)
-    return prop.matrix @ y
+    return prop.apply(y)
 
 
 def softmax_probs(scores) -> np.ndarray:

@@ -60,6 +60,8 @@ class BatchProjections:
 
 def _episode_class_index(data: EmbeddingSet, ep: Episode, node_position: int) -> int:
     nodes = ep.node_indices()
+    if not 0 <= node_position < nodes.size:
+        raise ValueError(f"node position {node_position} outside [0, {nodes.size})")
     label = data.labels[nodes[node_position]]
     try:
         return ep.classes.index(label)
@@ -110,6 +112,8 @@ def interpolation_curve(
 
 def random_query_pairs(ep: Episode, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Random different-class query node pairs, as episode node positions."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     pairs = []
     for _ in range(count):
         ca, cb = rng.choice(ep.n_way, size=2, replace=False)

@@ -285,19 +285,20 @@ def infer(z, ep: Episode, cfg: EvalConfig, pool=None) -> np.ndarray:
 
     Propagates `z` per cfg.mode, then scores all rows against the labeled
     supports of `ep` (the first node positions of `z`) with cfg.classifier.
-    Label propagation builds one graph on the propagated batch and scores
-    with P @ Y. Given `pool` (node positions), pool rows are pseudo-labeled
-    by argmax and every row is rescored with them as extra references,
-    against the same graph.
+    Label propagation scores with P @ Y on one graph of the propagated batch
+    (under IDENTITY, the one propagation built on `z`). Given `pool` (node
+    positions), pool rows are pseudo-labeled by argmax and every row is
+    rescored with them as extra references, against the same graph.
 
     Returns the (rows of z, n_way) score matrix.
     """
-    ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
+    ztilde, prop = propagate_embeddings(z, cfg.graph, cfg.mode)
     if cfg.classifier is Classifier.LABEL_PROP:
-        p = graph.build_propagator(ztilde, cfg.graph).matrix
+        if cfg.mode is not PropagationMode.IDENTITY:
+            prop = graph.build_propagator(ztilde, cfg.graph)
 
         def score(rows, classes):
-            return p @ classify.build_label_matrix(ztilde.shape[0], ep.n_way, rows, classes)
+            return prop.apply(classify.build_label_matrix(len(ztilde), ep.n_way, rows, classes))
     else:
         def score(rows, classes):
             return classify.prototypical_scores(ztilde[rows], classes, ztilde, n_classes=ep.n_way)

@@ -1,11 +1,12 @@
 """Similarity-graph construction over an embedding batch.
 
-The chain is: squared Euclidean distances -> RBF adjacency with a
-variance-derived bandwidth -> degree-normalized adjacency -> diffusion
-propagator P = (I - alpha*L)^-1. All matrices are dense float64; batches are
-episode-sized (tens to a few hundred rows).
+The chain is: squared Euclidean distances -> RBF adjacency with a variance
+bandwidth -> degree-normalized adjacency -> propagator P = (I - alpha*L)^-1,
+applied by Cholesky solves, formed only when read or for a right-hand side
+wider than the batch. Dense float64; episode-sized batches (tens to hundreds).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,15 +51,26 @@ class GraphConfig:
 class Propagator:
     """Diffusion operator P = (I - alpha*L)^-1 for one node batch.
 
-    P is symmetric, entrywise nonnegative, with diagonal >= 1 (it is the
-    Neumann series I + alpha*L + alpha^2*L^2 + ... of a nonnegative matrix).
-    sigma2 records the RBF bandwidth actually used to build the graph; it is
-    NaN when the propagator was assembled from a raw L.
+    Holds the system I - alpha*L; `apply` diffuses through it. P (`matrix`)
+    is symmetric, nonnegative, with diagonal >= 1 (the Neumann series
+    I + alpha*L + alpha^2*L^2 + ... of a nonnegative matrix). sigma2 is the
+    RBF bandwidth of the graph; NaN when assembled from a raw L.
     """
 
-    matrix: np.ndarray
+    system: np.ndarray
     alpha: float
     sigma2: float
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """P as a dense (n, n) array, formed by solving against I on first read."""
+        return numerics.solve_spd(self.system, np.eye(self.system.shape[0]))
+
+    def apply(self, b) -> np.ndarray:
+        """P @ b by Cholesky solve; past n columns of b, the formed P is cheaper."""
+        if np.ndim(b) == 2 and np.shape(b)[1] > self.system.shape[0]:
+            return self.matrix @ b
+        return numerics.solve_spd(self.system, b)
 
 
 def pairwise_sq_distances(z) -> np.ndarray:
@@ -144,22 +156,20 @@ def normalized_laplacian(a) -> np.ndarray:
 
 
 def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
-    """Invert I - alpha*L through the SPD solver.
+    """Propagator over the system I - alpha*L; nothing is solved here.
 
     I - alpha*L is positive definite for alpha in (0, 1) because the
     eigenvalues of the normalized adjacency lie in [-1, 1]; the Cholesky
-    factorization inside solve_spd enforces that assumption at runtime.
-    `sigma2` only tags the returned Propagator for reporting.
+    factorization in solve_spd checks that at the first `apply` or `matrix`
+    read, raising NotPositiveDefinite. `sigma2` only tags the result.
     """
     lap = np.asarray(lap, dtype=np.float64)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 1:
         raise DimensionMismatch(f"L must be square, got shape {lap.shape}")
-    n = lap.shape[0]
-    system = np.eye(n) - alpha * lap
-    p = numerics.solve_spd(system, np.eye(n))
-    return Propagator(matrix=p, alpha=float(alpha), sigma2=float(sigma2))
+    system = np.eye(lap.shape[0]) - alpha * lap
+    return Propagator(system=system, alpha=float(alpha), sigma2=float(sigma2))
 
 
 def build_propagator(z, cfg: GraphConfig) -> Propagator:

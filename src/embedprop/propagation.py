@@ -1,8 +1,8 @@
 """Embedding propagation: replace each row by a propagator-weighted sum of the batch.
 
-The propagator can be ablated to its off-diagonal or diagonal part, or to the
-identity (no propagation); the graph is built and returned in every mode so
-callers can still inspect it.
+FULL diffuses through `Propagator.apply`; the ablations read P's off-diagonal
+or diagonal entries, or skip propagation (identity). The graph is built and
+returned in every mode so callers can still inspect it or score with it.
 """
 
 import enum
@@ -38,7 +38,7 @@ def propagate_embeddings(
     z = numerics.as_matrix(z, "Z")
     prop = graph.build_propagator(z, cfg)
     if mode is PropagationMode.FULL:
-        ztilde = prop.matrix @ z
+        ztilde = prop.apply(z)
     elif mode is PropagationMode.OFF_DIAGONAL_ONLY:
         off = prop.matrix.copy()
         np.fill_diagonal(off, 0.0)

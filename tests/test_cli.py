@@ -89,6 +89,14 @@ def test_interp_writes_curves(cluster_file, tmp_path):
     assert all(0.0 <= p <= 1.0 for p in probs)
 
 
+def test_interp_zero_pairs_exit_1(cluster_file, tmp_path, capsys):
+    rc = main([
+        "interp", "--data", str(cluster_file), "--pairs", "0", "--out", str(tmp_path / "c.csv"),
+    ])
+    assert rc == 1
+    assert "count must be >= 1" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["evaluate"]) == 1  # missing required flags

@@ -63,6 +63,16 @@ class TestInterpolationCurve:
         with pytest.raises(ValueError):
             interpolation_curve(data, ep, 0, ep.n_support + ep.q_queries, 1, cfg)
 
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_node_position_validated(self, past_end):
+        data, cfg, ep = two_class_episode()
+        n_nodes = ep.n_support + ep.n_query
+        bad = n_nodes if past_end else -1  # -1 would silently score the last node
+        with pytest.raises(ValueError, match="outside"):
+            interpolation_curve(data, ep, bad, ep.n_support, 3, cfg)
+        with pytest.raises(ValueError, match="outside"):
+            interpolation_curve(data, ep, ep.n_support, bad, 3, cfg)
+
     def test_two_class_swap_symmetry(self):
         data, cfg, ep = two_class_episode()
         i = ep.n_support + 1

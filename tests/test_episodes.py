@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from embedprop import episodes, graph
+from embedprop import episodes, graph, numerics
 from embedprop.classify import build_label_matrix, label_propagation_scores, predict, prototypical_scores
 from embedprop.diagnostics import gaussian_clusters
 from embedprop.episodes import (
@@ -36,6 +36,19 @@ from embedprop.propagation import PropagationMode, propagate_embeddings
 
 def grid_dataset(n_classes=20, per_class=40, seed=0):
     return gaussian_clusters(n_classes, per_class, spread=0.3, seed=seed)
+
+
+def record_builds(monkeypatch):
+    """Batch shapes of every later graph.build_propagator call."""
+    calls = []
+    original = graph.build_propagator
+
+    def counting(z, gcfg):
+        calls.append(z.shape)
+        return original(z, gcfg)
+
+    monkeypatch.setattr(graph, "build_propagator", counting)
+    return calls
 
 
 class TestEmbeddingSet:
@@ -198,6 +211,39 @@ class TestRunEpisode:
         assert preds.shape == (ep.n_query,)
 
 
+    @pytest.mark.parametrize(
+        "mode,builds", [(PropagationMode.IDENTITY, 1), (PropagationMode.FULL, 2)]
+    )
+    def test_label_propagation_graph_builds(self, monkeypatch, mode, builds):
+        # under IDENTITY the propagated batch is z itself, so the graph that
+        # embedding propagation built is the label graph
+        data = grid_dataset(n_classes=6, per_class=30)
+        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, episodes=1, mode=mode)
+        ep = sample_episode(data, cfg, 0)
+        calls = record_builds(monkeypatch)
+        run_episode(data, ep, cfg)
+        assert len(calls) == builds
+
+    def test_full_label_propagation_never_inverts(self, monkeypatch):
+        # embedding width m < n nodes: both P @ Z and P @ Y are solves with
+        # fewer than n right-hand-side columns, so P is never formed
+        data = grid_dataset(n_classes=6, per_class=30)
+        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, episodes=1)
+        ep = sample_episode(data, cfg, 0)
+        n = ep.n_support + ep.n_query
+        assert data.dim < n
+        widths = []
+        original = numerics.solve_spd
+
+        def recording(m, b):
+            widths.append(1 if b.ndim == 1 else b.shape[1])
+            return original(m, b)
+
+        monkeypatch.setattr(numerics, "solve_spd", recording)
+        run_episode(data, ep, cfg)
+        assert widths == [data.dim, ep.n_way]
+
+
 class TestSslPredict:
     def test_pass_two_reference_rows(self):
         data = grid_dataset(n_classes=8, per_class=50)
@@ -246,14 +292,7 @@ class TestSslPredict:
         cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, u_unlabeled=5,
                          episodes=1, classifier=classifier, ssl=SslMode.PSEUDO_LABEL)
         ep = sample_episode(data, cfg, 0)
-        calls = []
-        original = graph.build_propagator
-
-        def counting(z, gcfg):
-            calls.append(z.shape)
-            return original(z, gcfg)
-
-        monkeypatch.setattr(graph, "build_propagator", counting)
+        calls = record_builds(monkeypatch)
         ssl_predict(data, ep, cfg)
         assert len(calls) == builds
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embedprop.errors import InvalidDistanceMatrix, IsolatedNode, NonFiniteInput
+from embedprop.errors import InvalidDistanceMatrix, IsolatedNode, NonFiniteInput, NotPositiveDefinite
 from embedprop.graph import (
     GraphConfig,
     adjacency,
@@ -184,6 +184,14 @@ class TestPropagator:
         with pytest.raises(ValueError):
             propagator(np.zeros((2, 2)), 0.0)
 
+    def test_not_positive_definite_raised_on_first_use(self):
+        # eigenvalues of I - 0.5 * L are 1 -+ 1.5; the factorization is deferred
+        p = propagator(np.array([[0.0, 3.0], [3.0, 0.0]]), 0.5)
+        with pytest.raises(NotPositiveDefinite):
+            p.apply(np.ones((2, 1)))
+        with pytest.raises(NotPositiveDefinite):
+            p.matrix
+
     def test_invariants_random_batches(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
@@ -238,3 +246,27 @@ def test_propagator_invariants_property(z, alpha):
     assert np.abs(p.matrix - p.matrix.T).max() <= 1e-9
     assert p.matrix.min() >= -1e-9
     assert np.diagonal(p.matrix).min() >= 1.0 - 1e-9
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    alpha=st.floats(0.05, 0.95),
+    log_scale=st.floats(-3, 3),
+    duplicates=st.integers(0, 5),
+    k_over_n=st.sampled_from([None, 0.1, 1.0, 2.5]),
+)
+def test_apply_matches_dense_solve_property(seed, n, alpha, log_scale, duplicates, k_over_n):
+    # cond(I - alpha*L) <= (1 + alpha) / (1 - alpha) <= 39, so a backward-stable
+    # solve or inverse-then-multiply stays well inside 1e-12 relative
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, int(rng.integers(1, 6)))) * 10.0**log_scale
+    dup = rng.integers(n, size=min(duplicates, n - 1))
+    z[rng.permutation(n)[: dup.size]] = z[dup]
+    p = build_propagator(z, GraphConfig(alpha=alpha))
+    shape = (n,) if k_over_n is None else (n, max(1, int(round(k_over_n * n))))
+    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+    x = p.apply(b)
+    ref = np.linalg.solve(p.system, b)
+    assert x.shape == ref.shape
+    assert np.abs(x - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))

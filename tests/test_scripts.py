@@ -1,0 +1,48 @@
+"""Smoke runs of the example scripts with tiny arguments."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, args, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    module.main()
+
+
+@pytest.fixture(autouse=True)
+def in_tmp(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+
+def test_ssl_benchmark(monkeypatch, capsys):
+    run_script("ssl_benchmark", ["--episodes", "5"], monkeypatch)
+    out = capsys.readouterr().out
+    # 2 classifiers x (4 propagation modes + 1 SSL row), after two header lines
+    assert len(out.splitlines()) == 2 + 2 * 5
+    assert "lp / full + ssl(u=20)" in out
+
+
+def test_two_moons_demo(tmp_path, monkeypatch, capsys):
+    run_script("two_moons_demo", ["--n", "30", "--batches", "2", "--batch-size", "20",
+                                  "--outdir", str(tmp_path / "moons")], monkeypatch)
+    written = sorted(p.name for p in (tmp_path / "moons").iterdir())
+    assert written == ["moons.csv", "projections.csv", "propagated.csv", "summary.txt"]
+    assert "label propagation, 1 support per moon" in capsys.readouterr().out
+
+
+def test_smoothness_curves(tmp_path, monkeypatch, capsys):
+    out_csv = tmp_path / "curves.csv"
+    run_script("smoothness_curves", ["--pairs", "2", "--grid", "3", "--out", str(out_csv)],
+               monkeypatch)
+    out = capsys.readouterr().out
+    assert "mode full" in out and "mode identity" in out
+    # header + 2 modes x 2 pairs x 3 grid points
+    assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2 * 3
