@@ -132,16 +132,16 @@ def _cmd_interp(args) -> None:
     ep = sample_episode(data, cfg, 0)
     rng = np.random.default_rng([args.seed, _PAIR_STREAM])
     pairs = random_query_pairs(ep, args.pairs, rng)
-    jumps = []
+    # every curve is computed before --out is opened, so a failure leaves it untouched
+    curves = [interpolation_curve(data, ep, i, j, args.grid, cfg) for i, j in pairs]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair", "i", "j", "weight", "prob"])
-        for pair_id, (i, j) in enumerate(pairs):
-            curve = interpolation_curve(data, ep, i, j, args.grid, cfg)
-            jumps.append(curve.max_jump)
+        for pair_id, curve in enumerate(curves):
             for w, p in zip(curve.grid, curve.probs):
-                writer.writerow([pair_id, i, j, format(w, ".17g"), format(p, ".17g")])
-    print(f"wrote {len(pairs)} curves (mean max jump {np.mean(jumps):.4f}) -> {args.out}")
+                writer.writerow([pair_id, curve.i, curve.j, format(w, ".17g"), format(p, ".17g")])
+    mean_jump = np.mean([c.max_jump for c in curves])
+    print(f"wrote {len(curves)} curves (mean max jump {mean_jump:.4f}) -> {args.out}")
 
 
 def main(argv=None) -> int:

@@ -80,9 +80,11 @@ def interpolation_curve(
     """Probability of node i's class along the i-j interpolation segment.
 
     For each grid weight w the point w*z_i + (1-w)*z_j is appended to the
-    episode batch as one extra unlabeled query, the whole pipeline (per
-    cfg.mode and cfg.classifier) reruns on the extended batch, and the
-    softmax probability of class y_i at the extra row is recorded.
+    episode batch as one extra unlabeled query, the whole pipeline (`infer`,
+    per cfg.mode, cfg.classifier and cfg.ssl) reruns on the extended batch,
+    and the softmax probability of class y_i at the extra row is recorded.
+    Under SslMode.PSEUDO_LABEL the extra point is scored but never
+    pseudo-labeled, and an episode with no pool raises NoUnlabeledPool.
 
     The curve is transductive: the extra point participates in the graph.
     Appending a point perturbs the graph slightly, so exact endpoint

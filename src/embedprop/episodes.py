@@ -7,6 +7,7 @@ class identifiers. Every episode draws its own RNG stream from
 (master seed, episode index), so results never depend on execution order.
 """
 
+import dataclasses
 import enum
 import math
 import os
@@ -280,18 +281,25 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
     )
 
 
-def infer(z, ep: Episode, cfg: EvalConfig, pool=None) -> np.ndarray:
+def infer(z, ep: Episode, cfg: EvalConfig) -> np.ndarray:
     """Transductive scores of every row of the batch `z` for episode `ep`.
 
     Propagates `z` per cfg.mode, then scores all rows against the labeled
     supports of `ep` (the first node positions of `z`) with cfg.classifier.
     Label propagation scores with P @ Y on one graph of the propagated batch
-    (under IDENTITY, the one propagation built on `z`). Given `pool` (node
-    positions), pool rows are pseudo-labeled by argmax and every row is
-    rescored with them as extra references, against the same graph.
+    (under IDENTITY, the one propagation built on `z`). Under cfg.ssl =
+    PSEUDO_LABEL, the pool of `ep` (masked-out supports, then unlabeled rows;
+    NoUnlabeledPool if empty) is pseudo-labeled by argmax and every row is
+    rescored with it as extra references, against the same graph.
 
     Returns the (rows of z, n_way) score matrix.
     """
+    if cfg.ssl is SslMode.PSEUDO_LABEL:
+        q_hi = ep.n_support + ep.n_query
+        unlabeled_support = np.flatnonzero(~ep.labeled_mask.ravel())
+        pool = np.concatenate([unlabeled_support, np.arange(q_hi, q_hi + ep.n_unlabeled)])
+        if pool.size == 0:
+            raise NoUnlabeledPool("episode has no unlabeled rows and all supports are labeled")
     ztilde, prop = propagate_embeddings(z, cfg.graph, cfg.mode)
     if cfg.classifier is Classifier.LABEL_PROP:
         if cfg.mode is not PropagationMode.IDENTITY:
@@ -306,7 +314,7 @@ def infer(z, ep: Episode, cfg: EvalConfig, pool=None) -> np.ndarray:
     rows = np.flatnonzero(ep.labeled_mask.ravel())  # labeled supports, class-major
     classes = rows // ep.k_shot
     scores = score(rows, classes)
-    if pool is None:
+    if cfg.ssl is SslMode.OFF:
         return scores
     pseudo = classify.predict(scores[pool])
     return score(np.concatenate([rows, pool]), np.concatenate([classes, pseudo]))
@@ -320,10 +328,10 @@ def query_truth(ep: Episode) -> np.ndarray:
 def run_episode(
     data: EmbeddingSet, ep: Episode, cfg: EvalConfig
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Transductive inference on one episode.
+    """Transductive inference on one episode, as `evaluate` runs it.
 
-    Stacks support, query, and unlabeled rows, scores all nodes with `infer`,
-    and predicts the query rows.
+    Stacks support, query, and unlabeled rows, scores all nodes with `infer`
+    (per the whole cfg, cfg.ssl included), and predicts the query rows.
 
     Returns (query predictions as episode class indices, query accuracy,
     score matrix over all nodes).
@@ -335,21 +343,15 @@ def run_episode(
 
 
 def ssl_predict(data: EmbeddingSet, ep: Episode, cfg: EvalConfig) -> np.ndarray:
-    """Two-pass pseudo-label inference for the query rows.
+    """Query predictions of two-pass pseudo-label inference, whatever cfg.ssl says.
 
     Pass 1 runs the standard pipeline and hard-argmax labels the pool (the
     episode's unlabeled rows plus any masked-out supports). Pass 2 treats the
     pseudo-labels as true support labels and rescores. Exactly two passes,
-    no fixpoint iteration.
+    no fixpoint iteration: `run_episode` with cfg.ssl = PSEUDO_LABEL.
     """
-    q_lo = ep.n_support
-    q_hi = q_lo + ep.n_query
-    unlabeled_support = np.flatnonzero(~ep.labeled_mask.ravel())
-    pool = np.concatenate([unlabeled_support, np.arange(q_hi, q_hi + ep.n_unlabeled)])
-    if pool.size == 0:
-        raise NoUnlabeledPool("episode has no unlabeled rows and all supports are labeled")
-    scores = infer(data.embeddings[ep.node_indices()], ep, cfg, pool)
-    return classify.predict(scores[q_lo:q_hi])
+    preds, _, _ = run_episode(data, ep, dataclasses.replace(cfg, ssl=SslMode.PSEUDO_LABEL))
+    return preds
 
 
 def confidence_interval95(accuracies) -> float:
@@ -361,12 +363,7 @@ def confidence_interval95(accuracies) -> float:
 
 
 def _episode_accuracy(data: EmbeddingSet, cfg: EvalConfig, index: int) -> float:
-    ep = sample_episode(data, cfg, index)
-    if cfg.ssl is SslMode.PSEUDO_LABEL:
-        preds = ssl_predict(data, ep, cfg)
-        return float(np.mean(preds == query_truth(ep)))
-    _, accuracy, _ = run_episode(data, ep, cfg)
-    return accuracy
+    return run_episode(data, sample_episode(data, cfg, index), cfg)[1]
 
 
 def thread_count() -> int:

@@ -114,10 +114,6 @@ def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
     if not d2.min() >= -1e-12 * scale:
         raise InvalidDistanceMatrix("D2 has negative entries")
 
-    # Clean float dust; a no-op for matrices produced by pairwise_sq_distances.
-    d2 = np.maximum((d2 + d2.T) / 2.0, 0.0)
-    np.fill_diagonal(d2, 0.0)
-
     if cfg.sigma2_override is not None:
         sigma2 = float(cfg.sigma2_override)
     else:

@@ -97,6 +97,15 @@ def test_interp_zero_pairs_exit_1(cluster_file, tmp_path, capsys):
     assert "count must be >= 1" in capsys.readouterr().err
 
 
+def test_interp_usage_error_keeps_out_file(cluster_file, tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    out.write_text("earlier results\n")
+    rc = main(["interp", "--data", str(cluster_file), "--grid", "1", "--out", str(out)])
+    assert rc == 1
+    assert "grid_size must be >= 2" in capsys.readouterr().err
+    assert out.read_text() == "earlier results\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["evaluate"]) == 1  # missing required flags

@@ -13,8 +13,8 @@ from embedprop.diagnostics import (
     random_query_pairs,
     two_moons,
 )
-from embedprop.episodes import EvalConfig, sample_episode
-from embedprop.errors import DimensionMismatch, SameClassPair
+from embedprop.episodes import EvalConfig, SslMode, sample_episode
+from embedprop.errors import DimensionMismatch, NoUnlabeledPool, SameClassPair
 from embedprop.graph import GraphConfig
 from embedprop.propagation import PropagationMode
 
@@ -57,6 +57,13 @@ class TestInterpolationCurve:
         data, cfg, ep = two_class_episode()
         with pytest.raises(SameClassPair):
             interpolation_curve(data, ep, ep.n_support, ep.n_support + 1, 4, cfg)
+
+    def test_follows_ssl(self):
+        # pseudo-labeling needs a pool, which this episode lacks
+        data, cfg, ep = two_class_episode()
+        ssl_cfg = dataclasses.replace(cfg, ssl=SslMode.PSEUDO_LABEL)
+        with pytest.raises(NoUnlabeledPool):
+            interpolation_curve(data, ep, ep.n_support, ep.n_support + ep.q_queries, 3, ssl_cfg)
 
     def test_grid_size_validated(self):
         data, cfg, ep = two_class_episode()

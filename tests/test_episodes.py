@@ -269,8 +269,8 @@ class TestSslPredict:
             unlabeled=np.array([1, 4]),
             labeled_mask=np.ones((2, 1), dtype=bool),
         )
-        cfg = EvalConfig(n_way=2, k_shot=1, q_queries=1, u_unlabeled=2,
-                         episodes=1, ssl=SslMode.PSEUDO_LABEL)
+        # pass-1 scores, from which the pool rows are pseudo-labeled
+        cfg = EvalConfig(n_way=2, k_shot=1, q_queries=1, u_unlabeled=2, episodes=1)
         scores = infer(data.embeddings[ep.node_indices()], ep, cfg)
         pseudo = predict(scores[4:6])  # pool rows come last
         np.testing.assert_array_equal(pseudo, [0, 1])
@@ -280,12 +280,15 @@ class TestSslPredict:
         cfg = EvalConfig(n_way=5, k_shot=1, q_queries=2, u_unlabeled=0, episodes=1)
         ep = sample_episode(data, cfg, 0)
         with pytest.raises(NoUnlabeledPool):
-            ssl_predict(data, ep, cfg)
+            ssl_predict(data, ep, cfg)  # pseudo-labels whatever cfg.ssl says
+        with pytest.raises(NoUnlabeledPool):
+            run_episode(data, ep, dataclasses.replace(cfg, ssl=SslMode.PSEUDO_LABEL))
 
+    @pytest.mark.parametrize("call", [ssl_predict, run_episode], ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
         "classifier,builds", [(Classifier.LABEL_PROP, 2), (Classifier.PROTOTYPICAL, 1)]
     )
-    def test_one_label_graph_per_batch(self, monkeypatch, classifier, builds):
+    def test_one_label_graph_per_batch(self, monkeypatch, classifier, builds, call):
         # one graph for embedding propagation, plus one label graph on ztilde
         # that both passes score against
         data = grid_dataset(n_classes=6, per_class=30)
@@ -293,8 +296,21 @@ class TestSslPredict:
                          episodes=1, classifier=classifier, ssl=SslMode.PSEUDO_LABEL)
         ep = sample_episode(data, cfg, 0)
         calls = record_builds(monkeypatch)
-        ssl_predict(data, ep, cfg)
+        call(data, ep, cfg)
         assert len(calls) == builds
+
+    @pytest.mark.parametrize("classifier", list(Classifier))
+    def test_run_episode_follows_ssl(self, classifier):
+        # run_episode is the per-episode unit of evaluate, SSL included
+        data = gaussian_clusters(8, 40, 0.5, seed=11, dim=12)
+        cfg = EvalConfig(n_way=5, k_shot=3, q_queries=5, u_unlabeled=10, labeled_fraction=0.4,
+                         episodes=20, classifier=classifier, ssl=SslMode.PSEUDO_LABEL, seed=7)
+        report = evaluate(data, cfg)
+        for index, expected in enumerate(report.accuracies):
+            ep = sample_episode(data, cfg, index)
+            preds, accuracy, _ = run_episode(data, ep, cfg)
+            np.testing.assert_array_equal(preds, ssl_predict(data, ep, cfg))
+            assert accuracy == expected
 
     def test_matches_public_api_chain(self):
         data = grid_dataset(n_classes=8, per_class=30)
