@@ -136,6 +136,8 @@ class Episode:
         if not has_label.all():
             raise EmptyClass(f"class {int(np.argmin(has_label))} has no labeled support")
         combined = np.concatenate([support.ravel(), query.ravel(), unlabeled])
+        if combined.min() < 0:
+            raise InvariantViolation(f"negative row index {int(combined.min())}")
         if len(np.unique(combined)) != combined.size:
             raise InvariantViolation("support, query, and unlabeled indices overlap")
         object.__setattr__(self, "classes", tuple(str(c) for c in self.classes))
@@ -216,8 +218,8 @@ class EvalReport:
 
 
 def labeled_count(labeled_fraction: float, k_shot: int) -> int:
-    """Supports labeled per class: ceil(fraction * k), guarded against float dust."""
-    return math.ceil(labeled_fraction * k_shot - 1e-9)
+    """Supports labeled per class: ceil(fraction * k), guarded against float dust, at least 1."""
+    return max(1, math.ceil(labeled_fraction * k_shot - 1e-9))
 
 
 def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
@@ -284,13 +286,12 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
 def infer(z, ep: Episode, cfg: EvalConfig) -> np.ndarray:
     """Transductive scores of every row of the batch `z` for episode `ep`.
 
-    Propagates `z` per cfg.mode, then scores all rows against the labeled
-    supports of `ep` (the first node positions of `z`) with cfg.classifier.
-    Label propagation scores with P @ Y on one graph of the propagated batch
-    (under IDENTITY, the one propagation built on `z`). Under cfg.ssl =
-    PSEUDO_LABEL, the pool of `ep` (masked-out supports, then unlabeled rows;
-    NoUnlabeledPool if empty) is pseudo-labeled by argmax and every row is
-    rescored with it as extra references, against the same graph.
+    Propagates `z` per cfg.mode into `ztilde` (`z` itself under IDENTITY, with
+    no graph built) and scores all rows against the labeled supports of `ep`
+    (its first node positions) with cfg.classifier; label propagation scores
+    with P @ Y on its own graph of `ztilde`. Under cfg.ssl = PSEUDO_LABEL, the
+    pool of `ep` (masked-out supports, then unlabeled rows; NoUnlabeledPool if
+    empty) is pseudo-labeled by argmax and all rows rescored on the same graph.
 
     Returns the (rows of z, n_way) score matrix.
     """
@@ -300,10 +301,11 @@ def infer(z, ep: Episode, cfg: EvalConfig) -> np.ndarray:
         pool = np.concatenate([unlabeled_support, np.arange(q_hi, q_hi + ep.n_unlabeled)])
         if pool.size == 0:
             raise NoUnlabeledPool("episode has no unlabeled rows and all supports are labeled")
-    ztilde, prop = propagate_embeddings(z, cfg.graph, cfg.mode)
+    ztilde = z
+    if cfg.mode is not PropagationMode.IDENTITY:
+        ztilde, _ = propagate_embeddings(z, cfg.graph, cfg.mode)
     if cfg.classifier is Classifier.LABEL_PROP:
-        if cfg.mode is not PropagationMode.IDENTITY:
-            prop = graph.build_propagator(ztilde, cfg.graph)
+        prop = graph.build_propagator(ztilde, cfg.graph)
 
         def score(rows, classes):
             return prop.apply(classify.build_label_matrix(len(ztilde), ep.n_way, rows, classes))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatch, InvalidDistanceMatrix, IsolatedNode
+from .errors import DimensionMismatch, InvalidDistanceMatrix, IsolatedNode, NonFiniteInput
 
 # Row-block size for the pairwise distance computation; bounds peak memory at
 # roughly block * n * m floats without changing any result bit.
@@ -134,15 +134,19 @@ def normalized_laplacian(a) -> np.ndarray:
 
     For a single node the degree is zero and L is defined as [[0]]. A zero
     row sum with n >= 2 cannot happen with an RBF adjacency and signals
-    corrupted input.
+    corrupted input, as does a non-finite one (any NaN or Inf entry makes
+    its row sum non-finite).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"A must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 1:
-        return np.zeros((1, 1))
     deg = a.sum(axis=1)
+    finite = np.isfinite(deg)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteInput(f"row {bad} of A sums to {deg[bad]}")
+    if a.shape[0] == 1:
+        return np.zeros((1, 1))
     if not (deg > 0.0).all():
         bad = int(np.argmin(deg))
         raise IsolatedNode(f"node {bad} has zero degree")

@@ -95,7 +95,8 @@ class TestSampleEpisode:
 
     @pytest.mark.parametrize(
         "fraction,k,expected",
-        [(0.2, 5, 1), (0.4, 5, 2), (0.6, 5, 3), (1.0, 5, 5), (0.7, 10, 7), (0.5, 1, 1)],
+        [(0.2, 5, 1), (0.4, 5, 2), (0.6, 5, 3), (1.0, 5, 5), (0.7, 10, 7), (0.5, 1, 1),
+         (1e-10, 5, 1)],
     )
     def test_labeled_count_rounding(self, fraction, k, expected):
         assert labeled_count(fraction, k) == expected
@@ -157,6 +158,17 @@ class TestEpisode:
                 labeled_mask=np.array([[True, False], [False, False], [False, True]]),
             )
 
+    def test_negative_row_index_rejected(self):
+        # -1 would silently select the last dataset row, from outside the episode
+        with pytest.raises(InvariantViolation, match="negative row index -1"):
+            Episode(
+                classes=("a", "b"),
+                support=np.array([[0], [2]]),
+                query=np.array([[1], [-1]]),
+                unlabeled=np.empty(0, dtype=np.intp),
+                labeled_mask=np.ones((2, 1), dtype=bool),
+            )
+
 
 class TestRunEpisode:
     def test_point_mass_classes_are_trivial(self):
@@ -211,14 +223,15 @@ class TestRunEpisode:
         assert preds.shape == (ep.n_query,)
 
 
-    @pytest.mark.parametrize(
-        "mode,builds", [(PropagationMode.IDENTITY, 1), (PropagationMode.FULL, 2)]
-    )
-    def test_label_propagation_graph_builds(self, monkeypatch, mode, builds):
-        # under IDENTITY the propagated batch is z itself, so the graph that
-        # embedding propagation built is the label graph
+    @pytest.mark.parametrize("classifier", list(Classifier), ids=lambda c: c.value)
+    @pytest.mark.parametrize("mode", list(PropagationMode), ids=lambda m: m.value)
+    def test_label_propagation_graph_builds(self, monkeypatch, mode, classifier):
+        # embedding propagation builds a graph unless the mode is IDENTITY, and
+        # label propagation builds its own on ztilde; prototypes read no graph
+        builds = (mode is not PropagationMode.IDENTITY) + (classifier is Classifier.LABEL_PROP)
         data = grid_dataset(n_classes=6, per_class=30)
-        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, episodes=1, mode=mode)
+        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, episodes=1, mode=mode,
+                         classifier=classifier)
         ep = sample_episode(data, cfg, 0)
         calls = record_builds(monkeypatch)
         run_episode(data, ep, cfg)
@@ -289,15 +302,19 @@ class TestSslPredict:
         "classifier,builds", [(Classifier.LABEL_PROP, 2), (Classifier.PROTOTYPICAL, 1)]
     )
     def test_one_label_graph_per_batch(self, monkeypatch, classifier, builds, call):
-        # one graph for embedding propagation, plus one label graph on ztilde
-        # that both passes score against
+        # `builds` is the FULL count: one graph for embedding propagation, plus
+        # under label propagation one label graph on ztilde that both passes
+        # score against; IDENTITY builds no embedding graph, so one fewer
         data = grid_dataset(n_classes=6, per_class=30)
-        cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, u_unlabeled=5,
-                         episodes=1, classifier=classifier, ssl=SslMode.PSEUDO_LABEL)
-        ep = sample_episode(data, cfg, 0)
         calls = record_builds(monkeypatch)
-        call(data, ep, cfg)
-        assert len(calls) == builds
+        for mode, expected in ((PropagationMode.FULL, builds),
+                               (PropagationMode.IDENTITY, builds - 1)):
+            cfg = EvalConfig(n_way=5, k_shot=2, q_queries=3, u_unlabeled=5, episodes=1,
+                             mode=mode, classifier=classifier, ssl=SslMode.PSEUDO_LABEL)
+            ep = sample_episode(data, cfg, 0)
+            calls.clear()
+            call(data, ep, cfg)
+            assert len(calls) == expected, mode
 
     @pytest.mark.parametrize("classifier", list(Classifier))
     def test_run_episode_follows_ssl(self, classifier):

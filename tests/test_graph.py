@@ -141,6 +141,19 @@ class TestNormalizedLaplacian:
         with pytest.raises(IsolatedNode):
             normalized_laplacian(a)
 
+    @pytest.mark.parametrize(
+        "a,row",
+        [
+            ([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]], 0),
+            ([[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]], 1),
+            ([[np.nan]], 0),
+        ],
+        ids=["nan", "inf", "single-nan"],
+    )
+    def test_non_finite_adjacency_rejected(self, a, row):
+        with pytest.raises(NonFiniteInput, match=f"row {row} of A"):
+            normalized_laplacian(a)
+
     def test_symmetric_output(self):
         rng = np.random.default_rng(5)
         a, _ = adjacency(pairwise_sq_distances(rng.normal(size=(9, 4))), GraphConfig())
