@@ -15,9 +15,11 @@ import numpy as np
 from . import numerics
 from .errors import DimensionMismatch, InvalidDistanceMatrix, IsolatedNode, NonFiniteInput
 
-# Row-block size for the pairwise distance computation; bounds peak memory at
-# roughly block * n * m floats without changing any result bit.
-_PAIRWISE_BLOCK = 256
+# Bound in bytes on the difference temporary of one pairwise-distance block,
+# counted in float64 elements: 1 << 17 elements = 1 MiB, whatever n. A block
+# takes as many rows as fit (at least one); a 100 x 100 x 8 batch fits whole.
+# No block size changes a result bit.
+_PAIRWISE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,24 @@ def pairwise_sq_distances(z) -> np.ndarray:
     """Squared Euclidean distances between all rows of `z`.
 
     Returns an (n, n) matrix that is exactly symmetric with an exactly zero
-    diagonal: entry (i, j) is computed from the elementwise differences, so
-    (i, j) and (j, i) run the identical float operations.
+    diagonal. The upper triangle (j >= i) is computed from the elementwise
+    differences z_i - z_j, reduced over the columns in the same order for every
+    block; the lower triangle is a copy of it. The copy is bit-equal to
+    computing it, since fl(a - b) = -fl(b - a) squares to the same value.
     """
     z = numerics.as_matrix(z, "Z")
-    n = z.shape[0]
+    n, m = z.shape
     d2 = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, _PAIRWISE_BLOCK):
-        stop = min(start + _PAIRWISE_BLOCK, n)
-        diff = z[start:stop, None, :] - z[None, :, :]
-        d2[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    scratch = np.empty(min(n * n * m, max(_PAIRWISE_BLOCK, n * m)), dtype=np.float64)
+    start = 0
+    while start < n:
+        width = n - start
+        stop = min(n, start + max(1, _PAIRWISE_BLOCK // (width * m)))
+        diff = scratch[: (stop - start) * width * m].reshape(stop - start, width, m)
+        np.subtract(z[start:stop, None, :], z[None, start:, :], out=diff)
+        d2[start:stop, start:] = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[stop:, start:stop] = d2[start:stop, stop:].T
+        start = stop
     return d2
 
 

@@ -183,8 +183,8 @@ def _load_binary(path) -> EmbeddingSet:
 
 def _save_binary(data: EmbeddingSet, path) -> None:
     table = sorted(set(data.labels))
-    if len(table) > 0xFFFF:
-        raise InvariantViolation(f"binary format caps classes at 65535, got {len(table)}")
+    if len(table) > 0x10000:
+        raise InvariantViolation(f"binary format holds at most 65536 classes, got {len(table)}")
     index = {lab: i for i, lab in enumerate(table)}
     parts = [MAGIC, struct.pack("<IIII", BINARY_VERSION, data.n, data.dim, len(table))]
     for name in table:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from embedprop.errors import InvalidDistanceMatrix, IsolatedNode, NonFiniteInput, NotPositiveDefinite
 from embedprop.graph import (
+    _PAIRWISE_BLOCK,
     GraphConfig,
     adjacency,
     build_propagator,
@@ -60,6 +62,19 @@ class TestPairwiseSqDistances:
         diff = z[:5, None, :] - z[None, :, :]
         direct = np.einsum("ijk,ijk->ij", diff, diff)
         np.testing.assert_array_equal(d2[:5], direct)
+
+    def test_peak_memory_bounded_by_block_budget(self):
+        # numpy reports its array allocations to tracemalloc: the result, one
+        # difference temporary of at most the budget, and small per-block rows
+        n, m = 1000, 64
+        z = np.random.default_rng(3).normal(size=(n, m))
+        tracemalloc.start()
+        try:
+            pairwise_sq_distances(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 8 * _PAIRWISE_BLOCK + 8 * n * m + (1 << 16)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
@@ -283,3 +298,31 @@ def test_apply_matches_dense_solve_property(seed, n, alpha, log_scale, duplicate
     ref = np.linalg.solve(p.system, b)
     assert x.shape == ref.shape
     assert np.abs(x - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.one_of(
+        st.tuples(st.integers(1, 30), st.integers(1, 8)),
+        # n^2 m exactly at the budget, then far above it with several rows
+        # per block, then with one row per block
+        st.sampled_from([(64, max(1, _PAIRWISE_BLOCK // 64**2)), (150, 64), (40, 4000)]),
+    ),
+    log_scale=st.floats(-3, 3),
+    offset=st.sampled_from([0.0, -37.5, 1e4]),
+    duplicates=st.integers(0, 5),
+)
+def test_pairwise_matches_per_row_oracle_property(seed, shape, log_scale, offset, duplicates):
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    z = rng.normal(size=(n, m)) * 10.0**log_scale + offset
+    dup = rng.integers(n, size=min(duplicates, n - 1))
+    z[rng.permutation(n)[: dup.size]] = z[dup]
+    rows = []
+    for i in range(n):
+        diff = z[i : i + 1, None, :] - z[None, :, :]
+        rows.append(np.einsum("ijk,ijk->ij", diff, diff))
+    d2 = pairwise_sq_distances(z)
+    assert d2.tobytes() == np.vstack(rows).tobytes()
+    assert (d2 == d2.T).all()
+    assert (np.diagonal(d2) == 0.0).all()

@@ -122,6 +122,22 @@ class TestBinary:
         with pytest.raises(ParseError):
             load_embeddings(path)
 
+    def test_full_u16_label_table_round_trip(self, tmp_path):
+        # u16 label indices 0..65535 address exactly 0x10000 classes
+        n = 0x10000
+        data = EmbeddingSet(np.arange(n, dtype=np.float64)[:, None], [f"c{i}" for i in range(n)])
+        path = tmp_path / "wide.epb"
+        save_embeddings(data, path, "binary")
+        back = load_embeddings(path, "binary")
+        assert back.labels == data.labels
+        np.testing.assert_array_equal(back.embeddings, data.embeddings)
+
+    def test_too_many_classes_rejected(self, tmp_path):
+        n = 0x10001
+        data = EmbeddingSet(np.zeros((n, 1)), [f"c{i}" for i in range(n)])
+        with pytest.raises(InvariantViolation, match="65536 classes, got 65537"):
+            save_embeddings(data, tmp_path / "wide.epb", "binary")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.epb"
         path.write_bytes(b"NOPE" + b"\0" * 32)
