@@ -47,23 +47,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="episodic accuracy benchmark")
     _add_eval_args(p_eval)
+    p_eval.set_defaults(run=_cmd_evaluate)
 
     p_ssl = sub.add_parser("ssl", help="benchmark with pseudo-label semi-supervision")
     _add_eval_args(p_ssl)
     p_ssl.add_argument("--unlabeled", type=int, default=100)
     p_ssl.add_argument("--labeled-fraction", type=float, default=1.0)
+    p_ssl.set_defaults(run=_cmd_evaluate)
 
     p_prop = sub.add_parser("propagate", help="propagate a whole embedding file as one batch")
     p_prop.add_argument("--data", required=True)
     p_prop.add_argument("--alpha", type=float, default=0.5)
     p_prop.add_argument("--mode", choices=[m.value for m in PropagationMode], default="full")
     p_prop.add_argument("--out", required=True)
+    p_prop.set_defaults(run=_cmd_propagate)
 
     p_moons = sub.add_parser("moons", help="write a two-moons embedding file")
     p_moons.add_argument("--n", type=int, default=200, help="points per moon")
     p_moons.add_argument("--noise", type=float, default=0.1)
     p_moons.add_argument("--seed", type=int, default=42)
     p_moons.add_argument("--out", required=True)
+    p_moons.set_defaults(run=_cmd_moons)
 
     p_interp = sub.add_parser("interp", help="interpolation probability curves as CSV")
     p_interp.add_argument("--data", required=True)
@@ -74,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--alpha", type=float, default=0.5)
     p_interp.add_argument("--seed", type=int, default=42)
     p_interp.add_argument("--out", required=True)
+    p_interp.set_defaults(run=_cmd_interp)
 
     return parser
 
@@ -94,9 +99,9 @@ def _eval_config(args, ssl: bool) -> EvalConfig:
     )
 
 
-def _cmd_evaluate(args, ssl: bool) -> None:
+def _cmd_evaluate(args) -> None:
     data = io.load_embeddings(args.data)
-    cfg = _eval_config(args, ssl)
+    cfg = _eval_config(args, ssl=args.command == "ssl")
     report = evaluate(data, cfg)
     io.write_report(report, args.out)
     print(
@@ -151,18 +156,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "evaluate":
-            _cmd_evaluate(args, ssl=False)
-        elif args.command == "ssl":
-            _cmd_evaluate(args, ssl=True)
-        elif args.command == "propagate":
-            _cmd_propagate(args)
-        elif args.command == "moons":
-            _cmd_moons(args)
-        elif args.command == "interp":
-            _cmd_interp(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            return 1
+        args.run(args)
     except (EmbedPropError, OSError) as exc:
         print(f"embedprop: error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from . import classify
 from .episodes import EmbeddingSet, Episode, EvalConfig, infer
 from .errors import DimensionMismatch, SameClassPair
 from .graph import GraphConfig, pairwise_sq_distances
-from .propagation import PropagationMode, propagate_embeddings
+from .propagation import propagate_embeddings
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def two_moons(n_per_moon: int, noise_sd: float, seed: int) -> EmbeddingSet:
     """
     if n_per_moon < 1:
         raise ValueError(f"n_per_moon must be >= 1, got {n_per_moon}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(0.0, math.pi, n_per_moon)
     t1 = rng.uniform(0.0, math.pi, n_per_moon)
@@ -165,6 +165,8 @@ def gaussian_clusters(
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
     dim = n_classes if dim is None else dim
     if dim < n_classes:
         raise ValueError(f"dim must be >= n_classes, got {dim} < {n_classes}")
@@ -215,9 +217,8 @@ def batch_projections(
     batch_size: int,
     cfg: GraphConfig,
     seed: int,
-    mode: PropagationMode = PropagationMode.FULL,
 ) -> BatchProjections:
-    """Propagate random subsets repeatedly, one output row per (point, batch).
+    """Propagate random subsets repeatedly (FULL mode), one output row per (point, batch).
 
     Shows how the same point lands in different places depending on which
     batch it is propagated with.
@@ -233,7 +234,7 @@ def batch_projections(
     labels: list[str] = []
     for b in range(n_batches):
         idx = np.sort(rng.choice(data.n, size=batch_size, replace=False))
-        ztilde, _ = propagate_embeddings(data.embeddings[idx], cfg, mode)
+        ztilde, _ = propagate_embeddings(data.embeddings[idx], cfg)
         points.append(idx)
         batches.append(np.full(batch_size, b, dtype=np.intp))
         coords.append(ztilde)

@@ -369,8 +369,11 @@ def _episode_accuracy(data: EmbeddingSet, cfg: EvalConfig, index: int) -> float:
 
 
 def thread_count() -> int:
-    """Episode-level worker count: EP_THREADS, else min(cpus, 8); never above the CPU count."""
-    cpus = os.cpu_count() or 1
+    """Episode-level worker count: EP_THREADS, else min(cpus, 8); never above the usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     raw = os.environ.get("EP_THREADS")
     if raw is None or raw == "":
         return min(cpus, _DEFAULT_MAX_WORKERS)

@@ -24,29 +24,20 @@ _PAIRWISE_BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class GraphConfig:
-    """Graph-construction knobs.
+    """Graph-construction settings.
 
     alpha is the diffusion strength in (0, 1). The RBF bandwidth sigma^2 is
-    normally the population variance of the off-diagonal squared distances;
-    sigma2_override pins it instead, and fallback_sigma2 is used whenever the
-    variance is undefined (single node) or falls below variance_floor (all
-    pairwise distances equal).
+    the variance rule of `adjacency` unless sigma2_override pins it.
     """
 
     alpha: float = 0.5
     sigma2_override: float | None = None
-    variance_floor: float = 1e-12
-    fallback_sigma2: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.sigma2_override is not None and not self.sigma2_override > 0.0:
             raise ValueError(f"sigma2_override must be positive, got {self.sigma2_override}")
-        if not self.variance_floor > 0.0:
-            raise ValueError(f"variance_floor must be positive, got {self.variance_floor}")
-        if not self.fallback_sigma2 > 0.0:
-            raise ValueError(f"fallback_sigma2 must be positive, got {self.fallback_sigma2}")
 
 
 @dataclass(frozen=True)
@@ -100,13 +91,18 @@ def pairwise_sq_distances(z) -> np.ndarray:
     return d2
 
 
+# Bandwidth of a batch whose variance rule degenerates (see `adjacency`).
+VARIANCE_FLOOR = 1e-12
+FALLBACK_SIGMA2 = 1.0
+
+
 def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
     """RBF adjacency A_ij = exp(-d2_ij / sigma^2) with a zero diagonal.
 
     sigma^2 is cfg.sigma2_override when given, otherwise the population
     variance (divide by count) of all n(n-1) off-diagonal squared distances,
-    with cfg.fallback_sigma2 stepping in when that variance is below
-    cfg.variance_floor or undefined (n = 1).
+    with FALLBACK_SIGMA2 stepping in when that variance is below
+    VARIANCE_FLOOR or undefined (n = 1).
 
     Returns (A, sigma2_used).
     """
@@ -129,7 +125,7 @@ def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
     else:
         off = d2[~np.eye(n, dtype=bool)]
         var = float(off.var()) if off.size else 0.0
-        sigma2 = var if (off.size and var >= cfg.variance_floor) else cfg.fallback_sigma2
+        sigma2 = var if (off.size and var >= VARIANCE_FLOOR) else FALLBACK_SIGMA2
 
     a = np.exp(-d2 / sigma2)
     # exp underflows to 0 for exponents beyond ~-745; keep off-diagonal weights

@@ -26,6 +26,7 @@ import numpy as np
 
 from .episodes import EmbeddingSet, EvalConfig, EvalReport
 from .errors import InvariantViolation, ParseError
+from .graph import FALLBACK_SIGMA2, VARIANCE_FLOOR
 
 MAGIC = b"EPB1"
 BINARY_VERSION = 1
@@ -39,28 +40,19 @@ def sniff_format(path) -> str:
         return "binary" if fh.read(4) == MAGIC else "csv"
 
 
-def load_embeddings(path, format: str = "auto") -> EmbeddingSet:
-    """Read an EmbeddingSet from `path` in csv, binary, or auto-sniffed format."""
-    if format == "auto":
-        format = sniff_format(path)
-    if format == "csv":
-        return _load_csv(path)
-    if format == "binary":
+def load_embeddings(path) -> EmbeddingSet:
+    """Read an EmbeddingSet from `path`: binary if it starts with the EPB1 magic, else csv."""
+    if sniff_format(path) == "binary":
         return _load_binary(path)
-    raise ValueError(f"unknown format {format!r}")
+    return _load_csv(path)
 
 
-def save_embeddings(data: EmbeddingSet, path, format: str = "auto") -> None:
-    """Write `data` to `path`; auto picks binary for .epb/.bin, csv otherwise."""
-    if format == "auto":
-        suffix = str(path).lower()
-        format = "binary" if suffix.endswith((".epb", ".bin")) else "csv"
-    if format == "csv":
-        _save_csv(data, path)
-    elif format == "binary":
+def save_embeddings(data: EmbeddingSet, path) -> None:
+    """Write `data` to `path`: binary for a .epb/.bin suffix (any case), else csv."""
+    if str(path).lower().endswith((".epb", ".bin")):
         _save_binary(data, path)
     else:
-        raise ValueError(f"unknown format {format!r}")
+        _save_csv(data, path)
 
 
 def _load_csv(path) -> EmbeddingSet:
@@ -204,6 +196,9 @@ def _save_binary(data: EmbeddingSet, path) -> None:
 def config_to_dict(cfg: EvalConfig) -> dict:
     """EvalConfig as plain JSON-ready data (enums become their string values)."""
     out = dataclasses.asdict(cfg)
+    # the schema is append-only: config.graph still echoes the fixed bandwidth rule
+    out["graph"]["variance_floor"] = VARIANCE_FLOOR
+    out["graph"]["fallback_sigma2"] = FALLBACK_SIGMA2
     out["mode"] = cfg.mode.value
     out["classifier"] = cfg.classifier.value
     out["ssl"] = cfg.ssl.value

@@ -106,6 +106,14 @@ def test_interp_usage_error_keeps_out_file(cluster_file, tmp_path, capsys):
     assert out.read_text() == "earlier results\n"
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_moons_non_finite_noise_exits_1(tmp_path, capsys, noise):
+    rc = main(["moons", "--noise", noise, "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert "noise_sd must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["evaluate"]) == 1  # missing required flags

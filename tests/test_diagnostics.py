@@ -122,6 +122,11 @@ class TestTwoMoons:
         assert (a.embeddings == b.embeddings).all()
         assert a.labels == b.labels
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_sd"):
+            two_moons(10, noise, seed=0)
+
     def test_labels(self):
         data = two_moons(3, 0.0, seed=0)
         assert data.labels == ("moon0",) * 3 + ("moon1",) * 3
@@ -185,6 +190,11 @@ class TestGaussianClusters:
         for c in range(3):
             block = data.embeddings[40 * c : 40 * (c + 1)]
             assert np.abs(block.mean(axis=0) - centers[c]).max() < 0.05
+
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf"), -1.0])
+    def test_bad_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread"):
+            gaussian_clusters(3, 5, spread=spread, seed=0)
 
     def test_deterministic(self):
         a = gaussian_clusters(4, 10, spread=0.3, seed=5)

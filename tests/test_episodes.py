@@ -386,17 +386,34 @@ class TestEvaluate:
         assert serial.mean == threaded.mean and serial.ci95 == threaded.ci95
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
-        # pure function of the env var and os.cpu_count; starts no thread
-        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 3)
+        # pure function of the env var and the usable CPUs; starts no thread
+        def usable(count):
+            monkeypatch.setattr(episodes.os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+
+        usable(3)
         monkeypatch.setenv("EP_THREADS", "64")
         assert thread_count() == 3
         monkeypatch.setenv("EP_THREADS", "2")
         assert thread_count() == 2
         monkeypatch.delenv("EP_THREADS")
         assert thread_count() == 3
-        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 32)
+        usable(32)
         assert thread_count() == 8
+        # platforms without an affinity mask fall back to os.cpu_count
+        monkeypatch.delattr(episodes.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(episodes.os, "cpu_count", lambda: None)
+        assert thread_count() == 1
+        monkeypatch.setenv("EP_THREADS", "4")
+        assert thread_count() == 1
+        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 3)
+        assert thread_count() == 3
+
+    def test_thread_count_capped_at_affinity(self, monkeypatch):
+        # a process pinned to one of four CPUs gets one worker
+        monkeypatch.setattr(episodes.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(episodes.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("EP_THREADS", raising=False)
         assert thread_count() == 1
         monkeypatch.setenv("EP_THREADS", "4")
         assert thread_count() == 1

@@ -8,6 +8,7 @@ from embedprop.episodes import EmbeddingSet, EvalConfig, evaluate
 from embedprop.errors import InvariantViolation, ParseError
 from embedprop.io import (
     MAGIC,
+    _load_binary,
     load_embeddings,
     report_to_dict,
     save_embeddings,
@@ -27,8 +28,8 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         data = sample_set()
         path = tmp_path / "emb.csv"
-        save_embeddings(data, path, "csv")
-        back = load_embeddings(path, "csv")
+        save_embeddings(data, path)
+        back = load_embeddings(path)
         assert back.labels == data.labels
         assert back.split == data.split
         np.testing.assert_array_equal(back.embeddings, data.embeddings)
@@ -89,8 +90,8 @@ class TestBinary:
     def test_round_trip_f32_precision(self, tmp_path):
         data = sample_set(n=9, m=4, seed=1)
         path = tmp_path / "emb.epb"
-        save_embeddings(data, path, "binary")
-        back = load_embeddings(path, "binary")
+        save_embeddings(data, path)
+        back = load_embeddings(path)
         assert back.labels == data.labels
         assert back.split == data.split
         np.testing.assert_array_equal(
@@ -100,13 +101,13 @@ class TestBinary:
     def test_no_split_round_trip(self, tmp_path):
         data = sample_set(with_split=False)
         path = tmp_path / "nosplit.epb"
-        save_embeddings(data, path, "binary")
+        save_embeddings(data, path)
         assert load_embeddings(path).split is None
 
     def test_truncated_block_names_byte_counts(self, tmp_path):
         data = sample_set()
         path = tmp_path / "emb.epb"
-        save_embeddings(data, path, "binary")
+        save_embeddings(data, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(ParseError) as exc:
@@ -117,7 +118,7 @@ class TestBinary:
     def test_trailing_garbage_rejected(self, tmp_path):
         data = sample_set()
         path = tmp_path / "emb.epb"
-        save_embeddings(data, path, "binary")
+        save_embeddings(data, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ParseError):
             load_embeddings(path)
@@ -127,8 +128,8 @@ class TestBinary:
         n = 0x10000
         data = EmbeddingSet(np.arange(n, dtype=np.float64)[:, None], [f"c{i}" for i in range(n)])
         path = tmp_path / "wide.epb"
-        save_embeddings(data, path, "binary")
-        back = load_embeddings(path, "binary")
+        save_embeddings(data, path)
+        back = load_embeddings(path)
         assert back.labels == data.labels
         np.testing.assert_array_equal(back.embeddings, data.embeddings)
 
@@ -136,13 +137,20 @@ class TestBinary:
         n = 0x10001
         data = EmbeddingSet(np.zeros((n, 1)), [f"c{i}" for i in range(n)])
         with pytest.raises(InvariantViolation, match="65536 classes, got 65537"):
-            save_embeddings(data, tmp_path / "wide.epb", "binary")
+            save_embeddings(data, tmp_path / "wide.epb")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.epb"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ParseError):
-            load_embeddings(path, "binary")
+            load_embeddings(path)
+
+    def test_reader_checks_magic_itself(self, tmp_path):
+        # load_embeddings routes by the magic; the binary reader still checks it
+        path = tmp_path / "bad.epb"
+        path.write_bytes(b"NOPE" + b"\0" * 32)
+        with pytest.raises(ParseError, match="bad magic"):
+            _load_binary(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v9.epb"
@@ -196,13 +204,24 @@ class TestAutoFormat:
         assert load_embeddings(csv_path).labels == data.labels
         assert load_embeddings(bin_path).labels == data.labels
 
+    @pytest.mark.parametrize("name, fmt", [("a.EPB", "binary"), ("a.bin", "binary"), ("a.csv", "csv")])
+    def test_save_picks_format_from_suffix(self, tmp_path, name, fmt):
+        save_embeddings(sample_set(), tmp_path / name)
+        assert sniff_format(tmp_path / name) == fmt
+
+    def test_load_picks_format_from_content(self, tmp_path):
+        data = sample_set()
+        save_embeddings(data, tmp_path / "a.epb")
+        renamed = (tmp_path / "a.epb").rename(tmp_path / "a.dat")
+        back = load_embeddings(renamed)
+        assert back.labels == data.labels
+        np.testing.assert_array_equal(
+            back.embeddings, data.embeddings.astype(np.float32).astype(np.float64)
+        )
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_embeddings(tmp_path / "missing.csv")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_embeddings(tmp_path / "x.csv", "parquet")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -223,6 +242,10 @@ class TestReport:
         assert d["config"]["mode"] == "full"
         assert d["config"]["classifier"] == "lp"
         assert d["config"]["graph"]["alpha"] == 0.5
+        assert list(d["config"]["graph"].items()) == [
+            ("alpha", 0.5), ("sigma2_override", None),
+            ("variance_floor", 1e-12), ("fallback_sigma2", 1.0),
+        ]
 
         path = tmp_path / "report.json"
         write_report(report, path)
