@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""One sha256 over the library's numeric outputs, to compare two versions bit for bit.
+
+Hashes the `run_episode` score matrices of every Classifier x SslMode x
+PropagationMode combination on seeded Gaussian-cluster episodes, then
+`propagate_embeddings` in every PropagationMode at several batch shapes
+(n = 1 and 2, duplicate rows, a large common offset, up to 2000 x 64): its
+z_tilde, the propagator's system, sigma^2 and formed matrix. Every value is
+hashed by its raw float64 bytes, after a label naming it.
+
+The bits depend on the BLAS build, its thread count and the CPU, so the digest
+is not a golden value: run it for both versions on one host with the same
+OPENBLAS_NUM_THREADS and compare the two lines.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/output_digest.py
+"""
+
+import argparse
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from embedprop import (
+    Classifier,
+    EvalConfig,
+    GraphConfig,
+    PropagationMode,
+    SslMode,
+    gaussian_clusters,
+    propagate_embeddings,
+    run_episode,
+    sample_episode,
+)
+
+# (rows, columns, common offset, duplicated rows) of the propagate batches
+SHAPES = (
+    (1, 3, 0.0, 0),
+    (2, 3, 0.0, 0),
+    (2, 1, 0.0, 1),
+    (7, 2, -37.5, 2),
+    (100, 8, 0.0, 0),
+    (80, 640, 3.0, 3),
+    (300, 64, 1e4, 0),
+    (2000, 64, 0.0, 0),
+)
+
+
+def _update(h, label: str, value) -> None:
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    h.update(f"{label} {arr.shape}\n".encode())
+    h.update(arr.tobytes())
+
+
+def episode_outputs(h, episodes: int) -> int:
+    data = gaussian_clusters(8, 40, spread=0.4, seed=7, dim=16)
+    base = EvalConfig(n_way=5, k_shot=2, q_queries=5, u_unlabeled=10, labeled_fraction=0.5,
+                      episodes=episodes, graph=GraphConfig(alpha=0.4), seed=11)
+    count = 0
+    for clf in Classifier:
+        for ssl in SslMode:
+            for mode in PropagationMode:
+                cfg = dataclasses.replace(base, classifier=clf, ssl=ssl, mode=mode)
+                for i in range(episodes):
+                    _, _, scores = run_episode(data, sample_episode(data, cfg, i), cfg)
+                    _update(h, f"episode {clf.value} {ssl.value} {mode.value} {i}", scores)
+                    count += 1
+    return count
+
+
+def propagate_outputs(h, max_n: int) -> int:
+    count = 0
+    for n, m, offset, dups in SHAPES:
+        if n > max_n:
+            continue
+        rng = np.random.default_rng([n, m])
+        z = rng.normal(size=(n, m)) + offset
+        z[n - dups:] = z[:dups]
+        for mode in PropagationMode:
+            ztilde, prop = propagate_embeddings(z, GraphConfig(alpha=0.5), mode)
+            label = f"propagate {n}x{m} {mode.value}"
+            _update(h, f"{label} ztilde", ztilde)
+            _update(h, f"{label} system", prop.system)
+            _update(h, f"{label} sigma2", prop.sigma2)
+            _update(h, f"{label} matrix", prop.matrix)
+            count += 1
+    return count
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--episodes", type=int, default=4, help="episodes per combination")
+    ap.add_argument("--max-n", type=int, default=2000, help="skip propagate batches above n rows")
+    args = ap.parse_args()
+
+    h = hashlib.sha256()
+    runs = episode_outputs(h, args.episodes)
+    batches = propagate_outputs(h, args.max_n)
+    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls)")
+
+
+if __name__ == "__main__":
+    main()

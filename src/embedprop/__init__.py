@@ -50,6 +50,7 @@ from .errors import (
     NotSymmetric,
     NoUnlabeledPool,
     ParseError,
+    ResourceLimit,
     SameClassPair,
 )
 from .graph import (

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: evaluate, ssl, propagate, moons, interp. Exit codes: 0 success,
-1 usage/configuration error, 2 data or parse error.
+1 usage/configuration error, 2 data, parse or resource error.
 """
 
 import argparse

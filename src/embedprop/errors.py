@@ -63,3 +63,7 @@ class ParseError(EmbedPropError):
 
 class InvariantViolation(EmbedPropError):
     """Decoded data breaks an EmbeddingSet invariant (ragged rows, duplicate id, non-finite value...)."""
+
+
+class ResourceLimit(EmbedPropError):
+    """A computation would need more memory than the machine has."""

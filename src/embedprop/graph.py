@@ -4,23 +4,29 @@ The chain is: squared Euclidean distances -> RBF adjacency with a variance
 bandwidth -> degree-normalized adjacency -> propagator P = (I - alpha*L)^-1,
 applied by Cholesky solves, formed only when read or for a right-hand side
 wider than the batch. Dense float64; episode-sized batches (tens to hundreds).
+
+Each stage allocates only its own result and works on it in place, without
+writing its input. `build_propagator` drops each input once the next stage
+holds its result, so an n-row batch peaks at two (n, n) float64 arrays plus
+block temporaries of about 1 MiB: the system and its Cholesky factor during
+a solve (16 n^2 bytes; 6.4 GB at n = 20 000).
 """
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import DimensionMismatch, InvalidDistanceMatrix, IsolatedNode, NonFiniteInput
-
-# Bound in bytes on the difference temporary of one pairwise-distance block,
-# counted in float64 elements: 1 << 17 elements = 1 MiB, whatever n. A block
-# takes as many rows as fit (at least one); a 100 x 100 x 8 batch fits whole.
-# No block size changes a result bit.
-_PAIRWISE_BLOCK = 1 << 17
-
+from .errors import (
+    DimensionMismatch,
+    InvalidDistanceMatrix,
+    IsolatedNode,
+    NonFiniteInput,
+    ResourceLimit,
+)
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -78,16 +84,13 @@ def pairwise_sq_distances(z) -> np.ndarray:
     z = numerics.as_matrix(z, "Z")
     n, m = z.shape
     d2 = np.empty((n, n), dtype=np.float64)
-    scratch = np.empty(min(n * n * m, max(_PAIRWISE_BLOCK, n * m)), dtype=np.float64)
-    start = 0
-    while start < n:
-        width = n - start
-        stop = min(n, start + max(1, _PAIRWISE_BLOCK // (width * m)))
-        diff = scratch[: (stop - start) * width * m].reshape(stop - start, width, m)
+    # the difference temporary of one block stays within numerics.BLOCK_ELEMENTS
+    # (a 100 x 100 x 8 batch fits whole)
+    for start, stop, scratch in numerics.upper_blocks(n, m):
+        diff = scratch.reshape(stop - start, n - start, m)
         np.subtract(z[start:stop, None, :], z[None, start:, :], out=diff)
         d2[start:stop, start:] = np.einsum("ijk,ijk->ij", diff, diff)
         d2[stop:, start:stop] = d2[start:stop, stop:].T
-        start = stop
     return d2
 
 
@@ -102,37 +105,59 @@ def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
     sigma^2 is cfg.sigma2_override when given, otherwise the population
     variance (divide by count) of all n(n-1) off-diagonal squared distances,
     with FALLBACK_SIGMA2 stepping in when that variance is below
-    VARIANCE_FLOOR or undefined (n = 1).
+    VARIANCE_FLOOR or undefined (n = 1). `d2` is never written.
 
     Returns (A, sigma2_used).
     """
     d2 = np.asarray(d2, dtype=np.float64)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1] or d2.shape[0] < 1:
         raise InvalidDistanceMatrix(f"D2 must be square, got shape {d2.shape}")
-    n = d2.shape[0]
-    scale = 1.0 + float(np.nanmax(np.abs(d2))) if np.isfinite(d2).all() else None
-    if scale is None:
+    # NaN and Inf reach the maximum or the minimum; max |d2| is one of them
+    hi, lo = float(d2.max()), float(d2.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidDistanceMatrix("D2 contains NaN or Inf entries")
+    scale = 1.0 + max(abs(hi), abs(lo))
     if not numerics.symmetry_defect(d2) <= 1e-9 * scale:
         raise InvalidDistanceMatrix("D2 is not symmetric")
     if not np.abs(np.diagonal(d2)).max() <= 1e-12 * scale:
         raise InvalidDistanceMatrix("D2 diagonal is not zero")
-    if not d2.min() >= -1e-12 * scale:
+    if not lo >= -1e-12 * scale:
         raise InvalidDistanceMatrix("D2 has negative entries")
 
     if cfg.sigma2_override is not None:
         sigma2 = float(cfg.sigma2_override)
     else:
-        off = d2[~np.eye(n, dtype=bool)]
-        var = float(off.var()) if off.size else 0.0
-        sigma2 = var if (off.size and var >= VARIANCE_FLOOR) else FALLBACK_SIGMA2
+        var = _off_diagonal_variance(d2)
+        sigma2 = var if var >= VARIANCE_FLOOR else FALLBACK_SIGMA2
 
-    a = np.exp(-d2 / sigma2)
+    a = np.divide(d2, -sigma2)
+    np.exp(a, out=a)
     # exp underflows to 0 for exponents beyond ~-745; keep off-diagonal weights
     # strictly positive so degrees never vanish.
-    a = np.maximum(a, np.finfo(np.float64).tiny)
+    np.maximum(a, np.finfo(np.float64).tiny, out=a)
     np.fill_diagonal(a, 0.0)
     return a, sigma2
+
+
+def _off_diagonal_variance(d2: np.ndarray) -> float:
+    """np.var of the off-diagonal entries in row-major order; 0.0 when n = 1.
+
+    Runs np.var's own steps (sum, divide, subtract, square, sum, divide) in
+    place on one copy, so the result is bit-equal to
+    d2[~np.eye(n, dtype=bool)].var() without its second n^2 temporary.
+    """
+    n = d2.shape[0]
+    if n == 1:
+        return 0.0
+    # between consecutive diagonal entries of the flat matrix lie the n
+    # off-diagonal entries of one row; flatten copies even when reshape gives
+    # a view (n = 2), so `d2` is never written
+    off = d2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].flatten()
+    mean = np.add.reduce(off, keepdims=True)
+    np.true_divide(mean, off.size, out=mean)
+    np.subtract(off, mean, out=off)
+    np.square(off, out=off)
+    return float(np.add.reduce(off) / off.size)
 
 
 def normalized_laplacian(a) -> np.ndarray:
@@ -141,7 +166,8 @@ def normalized_laplacian(a) -> np.ndarray:
     For a single node the degree is zero and L is defined as [[0]]. A zero
     row sum with n >= 2 cannot happen with an RBF adjacency and signals
     corrupted input, as does a non-finite one (any NaN or Inf entry makes
-    its row sum non-finite).
+    its row sum non-finite). The result is exactly symmetric: (L + L^T) / 2
+    of the scaled matrix.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -157,8 +183,17 @@ def normalized_laplacian(a) -> np.ndarray:
         bad = int(np.argmin(deg))
         raise IsolatedNode(f"node {bad} has zero degree")
     dinv = 1.0 / np.sqrt(deg)
-    lap = a * dinv[:, None] * dinv[None, :]
-    return (lap + lap.T) / 2.0
+    lap = np.multiply(a, dinv[:, None], order="C")
+    lap *= dinv[None, :]
+    # (x + y) / 2 is commutative, so writing each upper-triangle mean to both
+    # (i, j) and (j, i) gives the bits of (lap + lap.T) / 2
+    for start, stop, scratch in numerics.upper_blocks(lap.shape[0]):
+        mean = scratch.reshape(stop - start, -1)
+        np.add(lap[start:stop, start:], lap[start:, start:stop].T, out=mean)
+        mean /= 2.0
+        lap[start:stop, start:] = mean
+        lap[start:, start:stop] = mean.T
+    return lap
 
 
 def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
@@ -174,13 +209,40 @@ def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 1:
         raise DimensionMismatch(f"L must be square, got shape {lap.shape}")
-    system = np.eye(lap.shape[0]) - alpha * lap
+    # the bits of np.eye(n) - alpha * lap: 0.0 - x (never -x, which would turn
+    # +0.0 into -0.0) off the diagonal and 1.0 - x on it
+    system = np.multiply(lap, alpha, order="C")
+    diagonal = 1.0 - np.diagonal(system)
+    np.subtract(0.0, system, out=system)
+    np.fill_diagonal(system, diagonal)
     return Propagator(system=system, alpha=float(alpha), sigma2=float(sigma2))
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory reported by os.sysconf, or None where it reports none."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def build_propagator(z, cfg: GraphConfig) -> Propagator:
-    """Full chain from an embedding batch to its propagator."""
-    d2 = pairwise_sq_distances(z)
-    a, sigma2 = adjacency(d2, cfg)
+    """Full chain from an embedding batch to its propagator.
+
+    Each stage is called on the previous one's result alone, so no more than
+    two (n, n) arrays are alive at once. Raises ResourceLimit, before
+    allocating any of them, when those two exceed the physical memory.
+    """
+    z = numerics.as_matrix(z, "Z")
+    n = z.shape[0]
+    need = 2 * 8 * n * n
+    available = physical_memory()
+    if available is not None and need > available:
+        raise ResourceLimit(
+            f"a graph over {n} rows needs about {need} bytes (two {n} x {n} float64 "
+            f"arrays), more than the {available} bytes of physical memory"
+        )
+    a, sigma2 = adjacency(pairwise_sq_distances(z), cfg)
     lap = normalized_laplacian(a)
+    del a
     return propagator(lap, cfg.alpha, sigma2=sigma2)

@@ -13,6 +13,10 @@ from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, NotS
 # Relative asymmetry tolerated before a matrix is rejected as not symmetric.
 SYMMETRY_RTOL = 1e-9
 
+# Bound on the temporary of one row block, in float64 elements: 1 << 17
+# elements = 1 MiB, whatever n. No block size changes a result bit.
+BLOCK_ELEMENTS = 1 << 17
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce `a` to a float64 2-D array with >= 1 row/column and finite entries."""
@@ -26,9 +30,34 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def upper_blocks(n: int, depth: int = 1):
+    """Row blocks of the upper triangle of an (n, n) matrix, with a scratch buffer.
+
+    Yields (start, stop, scratch) for rows [start, stop) x columns [start, n),
+    diagonal included. A block takes as many rows as keep rows x (n - start) x
+    depth within BLOCK_ELEMENTS (at least one row); `scratch` is a flat float64
+    buffer of exactly that many elements, reused by every block.
+    """
+    buf = np.empty(min(n * n * depth, max(BLOCK_ELEMENTS, n * depth)))
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, BLOCK_ELEMENTS // ((n - start) * depth)))
+        yield start, stop, buf[: (stop - start) * (n - start) * depth]
+        start = stop
+
+
 def symmetry_defect(m: np.ndarray) -> float:
-    """Largest absolute difference between `m` and its transpose."""
-    return float(np.abs(m - m.T).max())
+    """Largest absolute difference between square `m` and its transpose.
+
+    Works over the upper triangle by row blocks; NaN anywhere gives NaN
+    (np.maximum, unlike max, propagates it).
+    """
+    defect = 0.0
+    for start, stop, scratch in upper_blocks(m.shape[0]):
+        diff = scratch.reshape(stop - start, -1)
+        np.subtract(m[start:stop, start:], m[start:, start:stop].T, out=diff)
+        defect = np.maximum(defect, np.abs(diff, out=diff).max())
+    return float(defect)
 
 
 def solve_spd(m, b) -> np.ndarray:
@@ -58,7 +87,8 @@ def solve_spd(m, b) -> np.ndarray:
             f"B must have {m.shape[0]} rows, got shape {b.shape}"
         )
     defect = symmetry_defect(m)
-    tol = SYMMETRY_RTOL * max(1.0, float(np.abs(m).max()))
+    # max |m| is |max m| or |min m|, and NaN if m holds one
+    tol = SYMMETRY_RTOL * max(1.0, float(np.abs([m.max(), m.min()]).max()))
     # `not <=` instead of `>` so NaN defects (non-finite input) are rejected too.
     if not defect <= tol:
         raise NotSymmetric(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from embedprop import graph
 from embedprop.cli import main
 from embedprop.diagnostics import gaussian_clusters
 from embedprop.io import load_embeddings, save_embeddings
@@ -137,6 +138,15 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_propagate_over_memory_exits_2(cluster_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graph, "physical_memory", lambda: 1 << 20)
+    out = tmp_path / "out.csv"
+    rc = main(["propagate", "--data", str(cluster_file), "--out", str(out)])
+    assert rc == 2
+    assert "320 rows needs about 1638400 bytes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

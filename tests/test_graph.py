@@ -7,9 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embedprop.errors import InvalidDistanceMatrix, IsolatedNode, NonFiniteInput, NotPositiveDefinite
+from embedprop import graph
+from embedprop.errors import (
+    InvalidDistanceMatrix,
+    IsolatedNode,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    ResourceLimit,
+)
 from embedprop.graph import (
-    _PAIRWISE_BLOCK,
+    FALLBACK_SIGMA2,
+    VARIANCE_FLOOR,
     GraphConfig,
     adjacency,
     build_propagator,
@@ -17,6 +25,7 @@ from embedprop.graph import (
     pairwise_sq_distances,
     propagator,
 )
+from embedprop.numerics import BLOCK_ELEMENTS, solve_spd
 
 
 def neumann_propagator(lap: np.ndarray, alpha: float, terms: int) -> np.ndarray:
@@ -74,7 +83,7 @@ class TestPairwiseSqDistances:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * n + 8 * _PAIRWISE_BLOCK + 8 * n * m + (1 << 16)
+        assert peak <= 8 * n * n + 8 * BLOCK_ELEMENTS + 8 * n * m + (1 << 16)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
@@ -169,6 +178,15 @@ class TestNormalizedLaplacian:
         with pytest.raises(NonFiniteInput, match=f"row {row} of A"):
             normalized_laplacian(a)
 
+    def test_blocked_symmetrization_matches_dense_formula(self):
+        # 500 rows take two row blocks; an asymmetric A makes the mean matter
+        rng = np.random.default_rng(13)
+        a = rng.uniform(0.1, 2.0, size=(500, 500))
+        deg = a.sum(axis=1)
+        dinv = 1.0 / np.sqrt(deg)
+        lap = a * dinv[:, None] * dinv[None, :]
+        assert normalized_laplacian(a).tobytes() == ((lap + lap.T) / 2.0).tobytes()
+
     def test_symmetric_output(self):
         rng = np.random.default_rng(5)
         a, _ = adjacency(pairwise_sq_distances(rng.normal(size=(9, 4))), GraphConfig())
@@ -205,6 +223,16 @@ class TestPropagator:
             p = propagator(lap, alpha)
             oracle = neumann_propagator(lap, alpha, 400)
             assert np.abs(p.matrix - oracle).max() <= 1e-6
+
+    def test_system_bits_match_eye_minus_alpha_lap(self):
+        # zeros of both signs off the diagonal must come out as +0.0, as in np.eye(n) - x
+        rng = np.random.default_rng(14)
+        lap = rng.normal(size=(6, 6))
+        lap[0, 1] = lap[1, 0] = 0.0
+        lap[2, 3] = lap[3, 2] = -0.0
+        lap[4, 4] = -0.0
+        system = propagator(lap, 0.3).system
+        assert system.tobytes() == (np.eye(6) - 0.3 * lap).tobytes()
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -306,7 +334,7 @@ def test_apply_matches_dense_solve_property(seed, n, alpha, log_scale, duplicate
         st.tuples(st.integers(1, 30), st.integers(1, 8)),
         # n^2 m exactly at the budget, then far above it with several rows
         # per block, then with one row per block
-        st.sampled_from([(64, max(1, _PAIRWISE_BLOCK // 64**2)), (150, 64), (40, 4000)]),
+        st.sampled_from([(64, max(1, BLOCK_ELEMENTS // 64**2)), (150, 64), (40, 4000)]),
     ),
     log_scale=st.floats(-3, 3),
     offset=st.sampled_from([0.0, -37.5, 1e4]),
@@ -326,3 +354,99 @@ def test_pairwise_matches_per_row_oracle_property(seed, shape, log_scale, offset
     assert d2.tobytes() == np.vstack(rows).tobytes()
     assert (d2 == d2.T).all()
     assert (np.diagonal(d2) == 0.0).all()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m=st.integers(1, 6),
+    log_scale=st.floats(-3, 3),
+    offset=st.sampled_from([0.0, -37.5, 1e4]),
+    duplicates=st.integers(0, 40),
+)
+def test_bandwidth_is_numpy_var_bit_for_bit_property(seed, n, m, log_scale, offset, duplicates):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, m)) * 10.0**log_scale + offset
+    dup = rng.integers(n, size=min(duplicates, n - 1))
+    z[rng.permutation(n)[: dup.size]] = z[dup]
+    d2 = pairwise_sq_distances(z)
+    _, sigma2 = adjacency(d2, GraphConfig())
+    if n == 1:
+        assert sigma2 == FALLBACK_SIGMA2
+        return
+    var = float(d2[~np.eye(n, dtype=bool)].var())
+    assert sigma2 == (var if var >= VARIANCE_FLOOR else FALLBACK_SIGMA2)
+
+
+def _layouts(x):
+    """`x` as C-ordered, F-ordered and transposed-view inputs of equal values."""
+    return {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "T": np.ascontiguousarray(x.T).T,
+    }
+
+
+def _run_untouched(stage, x, *args):
+    """Call `stage(x, *args)`; assert it leaves the bytes of `x` as they were
+    and returns no view of them."""
+    before = x.copy(order="K")
+    out = stage(x, *args)
+    assert x.tobytes(order="A") == before.tobytes(order="A")
+    result = out[0] if isinstance(out, tuple) else getattr(out, "system", out)
+    assert not np.shares_memory(result, x)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 30)),
+    m=st.integers(1, 5),
+    override=st.booleans(),
+)
+def test_stages_leave_their_inputs_untouched_property(seed, n, m, override):
+    # every stage computes in place on its own result; none may write its
+    # argument, whatever its memory layout, or return a view of it
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, m))
+    if n > 2:
+        z[n // 2] = z[0]  # a duplicate row; n = 2 is a zero-variance batch already
+    cfg = GraphConfig(alpha=0.5, sigma2_override=2.0 if override else None)
+    for x in _layouts(z).values():
+        _run_untouched(pairwise_sq_distances, x)
+    d2 = pairwise_sq_distances(z)
+    for x in _layouts(d2).values():
+        _run_untouched(adjacency, x, cfg)
+    a, _ = adjacency(d2, cfg)
+    for x in _layouts(a).values():
+        _run_untouched(normalized_laplacian, x)
+    lap = normalized_laplacian(a)
+    for x in _layouts(lap).values():
+        _run_untouched(propagator, x, 0.5)
+    system = propagator(lap, 0.5).system
+    b = rng.normal(size=(n, 3))
+    for x in _layouts(system).values():
+        _run_untouched(solve_spd, x, b)
+    for x in _layouts(b).values():
+        _run_untouched(lambda rhs: solve_spd(system, rhs), x)
+
+
+class TestResourceLimit:
+    def test_raises_before_allocating(self, monkeypatch):
+        def no_distances(z):
+            raise AssertionError("the check must fire before the first n x n array")
+
+        monkeypatch.setattr(graph, "physical_memory", lambda: 2 * 8 * 30 * 30 - 1)
+        monkeypatch.setattr(graph, "pairwise_sq_distances", no_distances)
+        with pytest.raises(ResourceLimit, match=r"30 rows needs about 14400 bytes"):
+            build_propagator(np.zeros((30, 2)), GraphConfig())
+
+    def test_fits_at_the_limit_or_without_a_probe(self, monkeypatch):
+        z = np.random.default_rng(12).normal(size=(30, 2))
+        expected = build_propagator(z, GraphConfig()).system
+        for probe in (lambda: 2 * 8 * 30 * 30, lambda: None):
+            monkeypatch.setattr(graph, "physical_memory", probe)
+            assert (build_propagator(z, GraphConfig()).system == expected).all()
+
+    def test_probe_reads_this_machine(self):
+        available = graph.physical_memory()
+        assert available is None or available > 0

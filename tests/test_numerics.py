@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embedprop.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
-from embedprop.numerics import as_matrix, solve_spd
+from embedprop.numerics import as_matrix, solve_spd, symmetry_defect
 
 
 def test_identity_solve_returns_rhs():
@@ -31,6 +31,15 @@ def test_rejects_asymmetric():
     m = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(NotSymmetric):
         solve_spd(m, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 400])
+def test_symmetry_defect_matches_dense_formula(n):
+    # 400 rows take two row blocks
+    m = np.random.default_rng(n).normal(size=(n, n))
+    assert symmetry_defect(m) == np.abs(m - m.T).max()
+    m[n - 1, 0] = np.nan
+    assert np.isnan(symmetry_defect(m))
 
 
 def test_rejects_indefinite():

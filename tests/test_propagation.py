@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from embedprop.diagnostics import compactness_metrics, gaussian_clusters
 from embedprop.graph import GraphConfig
+from embedprop.numerics import BLOCK_ELEMENTS
 from embedprop.propagation import PropagationMode, propagate_embeddings
 
 WORKED_Z = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -44,6 +47,21 @@ def test_single_row_batch():
     ztilde, prop = propagate_embeddings(z, GraphConfig())
     np.testing.assert_allclose(ztilde, z, atol=1e-12)
     np.testing.assert_allclose(prop.matrix, [[1.0]], atol=1e-12)
+
+
+def test_peak_memory_is_two_n_by_n_arrays():
+    # numpy and scipy report their array allocations to tracemalloc; the chain
+    # holds at most two (n, n) float64 arrays (a stage's input and its result,
+    # then the system and its Cholesky factor) plus one block temporary
+    n, m = 1000, 8
+    z = np.random.default_rng(4).normal(size=(n, m))
+    tracemalloc.start()
+    try:
+        propagate_embeddings(z, GraphConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n + 8 * BLOCK_ELEMENTS + (1 << 18)
 
 
 def test_alpha_to_zero_recovers_input():

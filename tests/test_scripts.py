@@ -46,3 +46,15 @@ def test_smoothness_curves(tmp_path, monkeypatch, capsys):
     assert "mode full" in out and "mode identity" in out
     # header + 2 modes x 2 pairs x 3 grid points
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2 * 3
+
+
+def test_output_digest_is_repeatable(monkeypatch, capsys):
+    args = ["--episodes", "1", "--max-n", "7"]
+    run_script("output_digest", args, monkeypatch)
+    first = capsys.readouterr().out
+    run_script("output_digest", args, monkeypatch)
+    assert capsys.readouterr().out == first
+    digest, counts = first.split("  ", 1)
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes
+    assert counts.strip() == "(16 episodes, 16 propagate calls)"
