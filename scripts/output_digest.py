@@ -6,7 +6,9 @@ PropagationMode combination on seeded Gaussian-cluster episodes, then
 `propagate_embeddings` in every PropagationMode at several batch shapes
 (n = 1 and 2, duplicate rows, a large common offset, up to 2000 x 64): its
 z_tilde, the propagator's system, sigma^2 and formed matrix. Every value is
-hashed by its raw float64 bytes, after a label naming it.
+hashed by its raw float64 bytes, after a label naming it. Last come the JSON
+reports of one `evaluate` (default flags) and one `ssl` run (every flag set),
+both through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
 
 The bits depend on the BLAS build, its thread count and the CPU, so the digest
 is not a golden value: run it for both versions on one host with the same
@@ -16,8 +18,13 @@ OPENBLAS_NUM_THREADS and compare the two lines.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +34,12 @@ from embedprop import (
     GraphConfig,
     PropagationMode,
     SslMode,
+    cli,
     gaussian_clusters,
     propagate_embeddings,
     run_episode,
     sample_episode,
+    save_embeddings,
 )
 
 # (rows, columns, common offset, duplicated rows) of the propagate batches
@@ -87,6 +96,28 @@ def propagate_outputs(h, max_n: int) -> int:
     return count
 
 
+def cli_reports(h, episodes: int) -> int:
+    runs = {
+        "evaluate": ["--episodes", str(episodes)],
+        "ssl": ["--n-way", "4", "--k-shot", "2", "--q-queries", "5", "--episodes", str(episodes),
+                "--alpha", "0.4", "--mode", "offdiag", "--classifier", "proto", "--seed", "11",
+                "--unlabeled", "12", "--labeled-fraction", "0.5"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "clusters.csv"
+        save_embeddings(gaussian_clusters(8, 40, spread=0.4, seed=7, dim=16), data)
+        for command, flags in runs.items():
+            out = Path(tmp) / f"{command}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--data", str(data), *flags, "--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"embedprop {command} exited with {code}")
+            report = json.loads(out.read_text(encoding="utf-8"))
+            del report["wall_ms"]
+            h.update(f"cli {command}\n{json.dumps(report)}\n".encode())
+    return len(runs)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -97,7 +128,8 @@ def main():
     h = hashlib.sha256()
     runs = episode_outputs(h, args.episodes)
     batches = propagate_outputs(h, args.max_n)
-    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls)")
+    reports = cli_reports(h, args.episodes)
+    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {reports} cli reports)")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,18 @@ from .graph import GraphConfig
 
 
 def build_label_matrix(n_nodes: int, n_classes: int, rows, classes) -> np.ndarray:
-    """One-hot label matrix: row r of `rows` gets a 1 in column `classes[r]`."""
+    """One-hot label matrix: row r of `rows` gets a 1 in column `classes[r]`.
+
+    Raises LabelOutOfRange for a row outside [0, n_nodes) or a class outside
+    [0, n_classes).
+    """
     rows = np.asarray(rows, dtype=np.intp)
     classes = np.asarray(classes, dtype=np.intp)
     if rows.shape != classes.shape:
         raise DimensionMismatch("rows and classes must have matching lengths")
+    outside = rows[(rows < 0) | (rows >= n_nodes)]
+    if outside.size:
+        raise LabelOutOfRange(f"row {outside[0]} outside [0, {n_nodes})")
     if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
         raise LabelOutOfRange(f"class index outside [0, {n_classes})")
     y = np.zeros((n_nodes, n_classes))

@@ -20,6 +20,8 @@ from .propagation import PropagationMode, propagate_embeddings
 # Salt for the pair-picking RNG stream so it cannot collide with episode streams.
 _PAIR_STREAM = 0x9E3779B9
 
+_DEFAULT = EvalConfig()
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -28,81 +30,77 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_eval_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="embedding file (csv or binary)")
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--q-queries", type=int, default=15)
-    p.add_argument("--episodes", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--mode", choices=[m.value for m in PropagationMode], default="full")
-    p.add_argument("--classifier", choices=[c.value for c in Classifier], default="lp")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True, help="JSON report path")
+def _enum_flag(kind, default) -> dict:
+    """A flag that parses straight to a member of `kind`; usage lists the values."""
+    return dict(type=kind, choices=list(kind), default=default,
+                metavar="{" + ",".join(member.value for member in kind) + "}")
+
+
+# Every flag, declared once under its dest. A flag that sets an EvalConfig or
+# GraphConfig field takes that field's default.
+_FLAGS = {
+    "data": dict(required=True, help="embedding file (csv or binary)"),
+    "n_way": dict(type=int, default=_DEFAULT.n_way),
+    "k_shot": dict(type=int, default=_DEFAULT.k_shot),
+    "q_queries": dict(type=int, default=_DEFAULT.q_queries),
+    "episodes": dict(type=int, default=_DEFAULT.episodes),
+    "alpha": dict(type=float, default=_DEFAULT.graph.alpha),
+    "mode": _enum_flag(PropagationMode, _DEFAULT.mode),
+    "classifier": _enum_flag(Classifier, _DEFAULT.classifier),
+    "seed": dict(type=int, default=_DEFAULT.seed),
+    "out": dict(required=True, help="output file"),
+    "unlabeled": dict(type=int, default=100),
+    "labeled_fraction": dict(type=float, default=_DEFAULT.labeled_fraction),
+    "pairs": dict(type=int, default=20),
+    "grid": dict(type=int, default=11),
+    "n": dict(type=int, default=200, help="points per moon"),
+    "noise": dict(type=float, default=0.1),
+}
+
+_EPISODE_FLAGS = ("data", "n_way", "k_shot", "q_queries", "episodes", "alpha", "mode",
+                  "classifier", "seed", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="embedprop", description=__doc__)
+    # EvalConfig fields that a subcommand sets by no flag of its own; its
+    # flags and set_defaults below override these
+    parser.set_defaults(q_queries=_DEFAULT.q_queries, unlabeled=_DEFAULT.u_unlabeled,
+                        labeled_fraction=_DEFAULT.labeled_fraction, mode=_DEFAULT.mode,
+                        classifier=_DEFAULT.classifier, ssl=_DEFAULT.ssl)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_eval = sub.add_parser("evaluate", help="episodic accuracy benchmark")
-    _add_eval_args(p_eval)
-    p_eval.set_defaults(run=_cmd_evaluate)
-
-    p_ssl = sub.add_parser("ssl", help="benchmark with pseudo-label semi-supervision")
-    _add_eval_args(p_ssl)
-    p_ssl.add_argument("--unlabeled", type=int, default=100)
-    p_ssl.add_argument("--labeled-fraction", type=float, default=1.0)
-    p_ssl.set_defaults(run=_cmd_evaluate)
-
-    p_prop = sub.add_parser("propagate", help="propagate a whole embedding file as one batch")
-    p_prop.add_argument("--data", required=True)
-    p_prop.add_argument("--alpha", type=float, default=0.5)
-    p_prop.add_argument("--mode", choices=[m.value for m in PropagationMode], default="full")
-    p_prop.add_argument("--out", required=True)
-    p_prop.set_defaults(run=_cmd_propagate)
-
-    p_moons = sub.add_parser("moons", help="write a two-moons embedding file")
-    p_moons.add_argument("--n", type=int, default=200, help="points per moon")
-    p_moons.add_argument("--noise", type=float, default=0.1)
-    p_moons.add_argument("--seed", type=int, default=42)
-    p_moons.add_argument("--out", required=True)
-    p_moons.set_defaults(run=_cmd_moons)
-
-    p_interp = sub.add_parser("interp", help="interpolation probability curves as CSV")
-    p_interp.add_argument("--data", required=True)
-    p_interp.add_argument("--n-way", type=int, default=5)
-    p_interp.add_argument("--k-shot", type=int, default=1)
-    p_interp.add_argument("--pairs", type=int, default=20)
-    p_interp.add_argument("--grid", type=int, default=11)
-    p_interp.add_argument("--alpha", type=float, default=0.5)
-    p_interp.add_argument("--seed", type=int, default=42)
-    p_interp.add_argument("--out", required=True)
-    p_interp.set_defaults(run=_cmd_interp)
-
+    for name, summary, flags, defaults in (
+        ("evaluate", "episodic accuracy benchmark", _EPISODE_FLAGS, {"run": _cmd_evaluate}),
+        ("ssl", "benchmark with pseudo-label semi-supervision",
+         _EPISODE_FLAGS + ("unlabeled", "labeled_fraction"),
+         {"run": _cmd_evaluate, "ssl": SslMode.PSEUDO_LABEL}),
+        ("propagate", "propagate a whole embedding file as one batch",
+         ("data", "alpha", "mode", "out"), {"run": _cmd_propagate}),
+        ("moons", "write a two-moons embedding file", ("n", "noise", "seed", "out"),
+         {"run": _cmd_moons}),
+        ("interp", "interpolation probability curves as CSV",
+         ("data", "n_way", "k_shot", "pairs", "grid", "alpha", "seed", "out"),
+         {"run": _cmd_interp, "episodes": 1}),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
-def _eval_config(args, ssl: bool) -> EvalConfig:
+def _eval_config(args) -> EvalConfig:
+    """The EvalConfig that evaluate, ssl and interp run, from the parsed flags."""
     return EvalConfig(
-        n_way=args.n_way,
-        k_shot=args.k_shot,
-        q_queries=args.q_queries,
-        u_unlabeled=args.unlabeled if ssl else 0,
-        labeled_fraction=args.labeled_fraction if ssl else 1.0,
-        episodes=args.episodes,
-        graph=GraphConfig(alpha=args.alpha),
-        mode=PropagationMode(args.mode),
-        classifier=Classifier(args.classifier),
-        ssl=SslMode.PSEUDO_LABEL if ssl else SslMode.OFF,
-        seed=args.seed,
+        n_way=args.n_way, k_shot=args.k_shot, q_queries=args.q_queries,
+        u_unlabeled=args.unlabeled, labeled_fraction=args.labeled_fraction,
+        episodes=args.episodes, graph=GraphConfig(alpha=args.alpha), mode=args.mode,
+        classifier=args.classifier, ssl=args.ssl, seed=args.seed,
     )
 
 
 def _cmd_evaluate(args) -> None:
-    data = io.load_embeddings(args.data)
-    cfg = _eval_config(args, ssl=args.command == "ssl")
-    report = evaluate(data, cfg)
+    report = evaluate(io.load_embeddings(args.data), _eval_config(args))
     io.write_report(report, args.out)
     print(
         f"mean accuracy {report.mean:.4f} (ci95 {report.ci95:.4f}, "
@@ -112,9 +110,7 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_propagate(args) -> None:
     data = io.load_embeddings(args.data)
-    ztilde, prop = propagate_embeddings(
-        data.embeddings, GraphConfig(alpha=args.alpha), PropagationMode(args.mode)
-    )
+    ztilde, prop = propagate_embeddings(data.embeddings, GraphConfig(alpha=args.alpha), args.mode)
     io.save_embeddings(EmbeddingSet(ztilde, data.labels, data.split), args.out)
     print(f"propagated {data.n} rows (alpha {prop.alpha}, sigma2 {prop.sigma2:.6g}) -> {args.out}")
 
@@ -127,13 +123,7 @@ def _cmd_moons(args) -> None:
 
 def _cmd_interp(args) -> None:
     data = io.load_embeddings(args.data)
-    cfg = EvalConfig(
-        n_way=args.n_way,
-        k_shot=args.k_shot,
-        episodes=1,
-        graph=GraphConfig(alpha=args.alpha),
-        seed=args.seed,
-    )
+    cfg = _eval_config(args)
     ep = sample_episode(data, cfg, 0)
     rng = np.random.default_rng([args.seed, _PAIR_STREAM])
     pairs = random_query_pairs(ep, args.pairs, rng)
@@ -157,12 +147,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args.run(args)
-    except (EmbedPropError, OSError) as exc:
+    except (EmbedPropError, OSError, ValueError) as exc:
         print(f"embedprop: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"embedprop: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (EmbedPropError, OSError)) else 1
     return 0
 
 

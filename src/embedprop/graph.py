@@ -66,8 +66,12 @@ class Propagator:
         return numerics.solve_spd(self.system, np.eye(self.system.shape[0]))
 
     def apply(self, b) -> np.ndarray:
-        """P @ b by Cholesky solve; past n columns of b, the formed P is cheaper."""
+        """P @ b by Cholesky solve; past n columns of b, the formed P is cheaper.
+
+        Raises NonFiniteInput when b holds NaN or Inf.
+        """
         if np.ndim(b) == 2 and np.shape(b)[1] > self.system.shape[0]:
+            b = numerics.as_matrix(b, "B")
             return self.matrix @ b
         return numerics.solve_spd(self.system, b)
 
@@ -186,13 +190,14 @@ def normalized_laplacian(a) -> np.ndarray:
     lap = np.multiply(a, dinv[:, None], order="C")
     lap *= dinv[None, :]
     # (x + y) / 2 is commutative, so writing each upper-triangle mean to both
-    # (i, j) and (j, i) gives the bits of (lap + lap.T) / 2
+    # (i, j) and (j, i) gives the bits of (lap + lap.T) / 2; the block's own
+    # square is already written, so only the strictly lower part is mirrored
     for start, stop, scratch in numerics.upper_blocks(lap.shape[0]):
         mean = scratch.reshape(stop - start, -1)
         np.add(lap[start:stop, start:], lap[start:, start:stop].T, out=mean)
         mean /= 2.0
         lap[start:stop, start:] = mean
-        lap[start:, start:stop] = mean.T
+        lap[stop:, start:stop] = mean[:, stop - start:].T
     return lap
 
 

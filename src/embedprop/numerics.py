@@ -76,7 +76,7 @@ def solve_spd(m, b) -> np.ndarray:
 
     Raises
     ------
-    DimensionMismatch, NotSymmetric, NotPositiveDefinite
+    DimensionMismatch, NonFiniteInput, NotSymmetric, NotPositiveDefinite
     """
     m = np.asarray(m, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -86,6 +86,8 @@ def solve_spd(m, b) -> np.ndarray:
         raise DimensionMismatch(
             f"B must have {m.shape[0]} rows, got shape {b.shape}"
         )
+    if not np.isfinite(b).all():
+        raise NonFiniteInput("B contains NaN or Inf entries")
     defect = symmetry_defect(m)
     # max |m| is |max m| or |min m|, and NaN if m holds one
     tol = SYMMETRY_RTOL * max(1.0, float(np.abs([m.max(), m.min()]).max()))

@@ -77,6 +77,23 @@ class TestLabelPropagationScores:
         assert np.abs(s2 - s1[perm]).max() <= 1e-9
 
 
+class TestBuildLabelMatrix:
+    def test_one_hot_rows(self):
+        y = build_label_matrix(4, 3, [0, 3], [2, 0])
+        np.testing.assert_array_equal(y, [[0, 0, 1], [0, 0, 0], [0, 0, 0], [1, 0, 0]])
+
+    @pytest.mark.parametrize("row", [-1, 3, 5])
+    def test_row_outside_nodes_rejected(self, row):
+        # a negative row would otherwise label a node counted from the end
+        with pytest.raises(LabelOutOfRange, match=f"row {row} outside"):
+            build_label_matrix(3, 2, [0, row], [0, 1])
+
+    @pytest.mark.parametrize("cls", [-1, 2])
+    def test_class_outside_columns_rejected(self, cls):
+        with pytest.raises(LabelOutOfRange):
+            build_label_matrix(3, 2, [0], [cls])
+
+
 class TestSoftmax:
     def test_uniform_rows(self):
         np.testing.assert_allclose(softmax_probs([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)

@@ -4,10 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from embedprop import graph
+from embedprop import cli, graph
 from embedprop.cli import main
 from embedprop.diagnostics import gaussian_clusters
+from embedprop.episodes import Classifier, EvalConfig, SslMode
+from embedprop.graph import GraphConfig
 from embedprop.io import load_embeddings, save_embeddings
+from embedprop.propagation import PropagationMode
 
 
 @pytest.fixture
@@ -160,3 +163,43 @@ def test_parse_error_exits_2(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "evaluate" in capsys.readouterr().out
+
+
+class _Captured(Exception):
+    """Carries the EvalConfig a subcommand hands to the library, ending the run."""
+
+
+def _capture(data, cfg, *rest):
+    raise _Captured(cfg)
+
+
+_EVERY_EPISODE_FLAG = [
+    "--n-way", "3", "--k-shot", "2", "--q-queries", "4", "--episodes", "7",
+    "--alpha", "0.25", "--mode", "diag", "--classifier", "proto", "--seed", "9",
+]
+_EVERY_EPISODE_FIELD = dict(
+    n_way=3, k_shot=2, q_queries=4, episodes=7, graph=GraphConfig(alpha=0.25),
+    mode=PropagationMode.DIAGONAL_ONLY, classifier=Classifier.PROTOTYPICAL, seed=9,
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["evaluate"], EvalConfig()),
+    (["ssl"], EvalConfig(u_unlabeled=100, ssl=SslMode.PSEUDO_LABEL)),
+    (["interp"], EvalConfig(episodes=1)),
+    (["evaluate", *_EVERY_EPISODE_FLAG], EvalConfig(**_EVERY_EPISODE_FIELD)),
+    (["ssl", *_EVERY_EPISODE_FLAG, "--unlabeled", "6", "--labeled-fraction", "0.5"],
+     EvalConfig(**_EVERY_EPISODE_FIELD, u_unlabeled=6, labeled_fraction=0.5,
+                ssl=SslMode.PSEUDO_LABEL)),
+    (["interp", "--n-way", "3", "--k-shot", "2", "--pairs", "4", "--grid", "5",
+      "--alpha", "0.25", "--seed", "9"],
+     EvalConfig(n_way=3, k_shot=2, episodes=1, graph=GraphConfig(alpha=0.25), seed=9)),
+])
+def test_subcommand_builds_eval_config(cluster_file, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.setattr(cli, "evaluate", _capture)
+    monkeypatch.setattr(cli, "sample_episode", _capture)
+    out = tmp_path / "out"
+    with pytest.raises(_Captured) as captured:
+        main([*argv, "--data", str(cluster_file), "--out", str(out)])
+    assert captured.value.args[0] == expected
+    assert not out.exists()

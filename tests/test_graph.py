@@ -248,6 +248,17 @@ class TestPropagator:
         with pytest.raises(NotPositiveDefinite):
             p.matrix
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("columns", [None, 1, 3, 4])
+    def test_non_finite_rhs_rejected_on_both_paths(self, bad, columns):
+        # 3 rows: up to 3 columns solve, 4 multiply by the formed P
+        p = build_propagator(np.array([[0.0], [1.0], [3.0]]), GraphConfig())
+        b = np.ones(3 if columns is None else (3, columns))
+        b.flat[-1] = bad
+        with pytest.raises(NonFiniteInput):
+            p.apply(b)
+        assert "matrix" not in vars(p)  # rejected before P is formed
+
     def test_invariants_random_batches(self):
         rng = np.random.default_rng(9)
         for _ in range(30):

@@ -4,7 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embedprop.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from embedprop.errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    NotSymmetric,
+)
 from embedprop.numerics import as_matrix, solve_spd, symmetry_defect
 
 
@@ -96,9 +101,17 @@ def test_residual_bound_sizes(size):
     assert np.abs(m @ x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
 
 
-def test_as_matrix_rejects_nan_and_bad_shape():
-    from embedprop.errors import NonFiniteInput
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(2,), (2, 3)])
+def test_rejects_non_finite_rhs(bad, shape):
+    # without the check a NaN spreads to every entry and an Inf gives rows of Inf
+    b = np.ones(shape)
+    b.flat[0] = bad
+    with pytest.raises(NonFiniteInput, match="B contains NaN or Inf"):
+        solve_spd(np.eye(2), b)
 
+
+def test_as_matrix_rejects_nan_and_bad_shape():
     with pytest.raises(NonFiniteInput):
         as_matrix(np.array([[1.0, np.nan]]))
     with pytest.raises(DimensionMismatch):

@@ -56,5 +56,6 @@ def test_output_digest_is_repeatable(monkeypatch, capsys):
     assert capsys.readouterr().out == first
     digest, counts = first.split("  ", 1)
     assert len(digest) == 64 and int(digest, 16) >= 0
-    # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes
-    assert counts.strip() == "(16 episodes, 16 propagate calls)"
+    # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes;
+    # evaluate and ssl through the CLI
+    assert counts.strip() == "(16 episodes, 16 propagate calls, 2 cli reports)"
