@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify
-from .episodes import EmbeddingSet, Episode, EvalConfig, infer
+from .episodes import EmbeddingSet, Episode, EvalConfig, _episode_rows, infer
 from .errors import DimensionMismatch, SameClassPair
 from .graph import GraphConfig, pairwise_sq_distances
 from .propagation import propagate_embeddings
@@ -59,7 +59,7 @@ class BatchProjections:
 
 
 def _episode_class_index(data: EmbeddingSet, ep: Episode, node_position: int) -> int:
-    nodes = ep.node_indices()
+    nodes = _episode_rows(data, ep)
     if not 0 <= node_position < nodes.size:
         raise ValueError(f"node position {node_position} outside [0, {nodes.size})")
     label = data.labels[nodes[node_position]]
@@ -101,7 +101,7 @@ def interpolation_curve(
     if yi == yj:
         raise SameClassPair(f"nodes {i} and {j} are both class {ep.classes[yi]!r}")
 
-    z = data.embeddings[ep.node_indices()]
+    z = data.embeddings[_episode_rows(data, ep)]
     grid = np.linspace(0.0, 1.0, grid_size)
     probs = np.empty(grid_size)
     for g, w in enumerate(grid):

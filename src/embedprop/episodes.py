@@ -10,6 +10,7 @@ class identifiers. Every episode draws its own RNG stream from
 import dataclasses
 import enum
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -125,7 +126,10 @@ class Episode:
         query = np.asarray(self.query, dtype=np.intp)
         unlabeled = np.asarray(self.unlabeled, dtype=np.intp).reshape(-1)
         mask = np.asarray(self.labeled_mask, dtype=bool)
-        n_way = len(self.classes)
+        classes = tuple(str(c) for c in self.classes)
+        if len(set(classes)) != len(classes):
+            raise InvariantViolation(f"duplicate class identifiers in {classes}")
+        n_way = len(classes)
         if support.ndim != 2 or support.shape[0] != n_way or support.shape[1] < 1:
             raise InvariantViolation(f"support must be ({n_way}, k), got {support.shape}")
         if query.ndim != 2 or query.shape[0] != n_way or query.shape[1] < 1:
@@ -140,7 +144,7 @@ class Episode:
             raise InvariantViolation(f"negative row index {int(combined.min())}")
         if len(np.unique(combined)) != combined.size:
             raise InvariantViolation("support, query, and unlabeled indices overlap")
-        object.__setattr__(self, "classes", tuple(str(c) for c in self.classes))
+        object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "query", query)
         object.__setattr__(self, "unlabeled", unlabeled)
@@ -192,6 +196,10 @@ class EvalConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_way < 2:
             raise ValueError(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1 or self.q_queries < 1:
@@ -327,6 +335,14 @@ def query_truth(ep: Episode) -> np.ndarray:
     return np.repeat(np.arange(ep.n_way), ep.q_queries)
 
 
+def _episode_rows(data: EmbeddingSet, ep: Episode) -> np.ndarray:
+    """Dataset rows of `ep` in node order; InvariantViolation if one lies outside `data`."""
+    rows = ep.node_indices()
+    if rows.max() >= data.n:
+        raise InvariantViolation(f"episode row {int(rows.max())} outside a set of {data.n} rows")
+    return rows
+
+
 def run_episode(
     data: EmbeddingSet, ep: Episode, cfg: EvalConfig
 ) -> tuple[np.ndarray, float, np.ndarray]:
@@ -338,7 +354,7 @@ def run_episode(
     Returns (query predictions as episode class indices, query accuracy,
     score matrix over all nodes).
     """
-    scores = infer(data.embeddings[ep.node_indices()], ep, cfg)
+    scores = infer(data.embeddings[_episode_rows(data, ep)], ep, cfg)
     preds = classify.predict(scores[ep.n_support : ep.n_support + ep.n_query])
     accuracy = float(np.mean(preds == query_truth(ep)))
     return preds, accuracy, scores

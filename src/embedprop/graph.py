@@ -2,8 +2,8 @@
 
 The chain is: squared Euclidean distances -> RBF adjacency with a variance
 bandwidth -> degree-normalized adjacency -> propagator P = (I - alpha*L)^-1,
-applied by Cholesky solves, formed only when read or for a right-hand side
-wider than the batch. Dense float64; episode-sized batches (tens to hundreds).
+applied by `numerics.solve_spd`, which solves or multiplies by the formed P by
+the width of the right-hand side. Dense float64; episode-sized batches.
 
 Each stage allocates only its own result and works on it in place, without
 writing its input. `build_propagator` drops each input once the next stage
@@ -12,7 +12,6 @@ block temporaries of about 1 MiB: the system and its Cholesky factor during
 a solve (16 n^2 bytes; 6.4 GB at n = 20 000).
 """
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -42,17 +41,19 @@ class GraphConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sigma2_override is not None and not self.sigma2_override > 0.0:
-            raise ValueError(f"sigma2_override must be positive, got {self.sigma2_override}")
+        if self.sigma2_override is not None and not 0.0 < self.sigma2_override < math.inf:
+            raise ValueError(
+                f"sigma2_override must be finite and positive, got {self.sigma2_override}"
+            )
 
 
 @dataclass(frozen=True)
 class Propagator:
     """Diffusion operator P = (I - alpha*L)^-1 for one node batch.
 
-    Holds the system I - alpha*L; `apply` diffuses through it. P (`matrix`)
-    is symmetric, nonnegative, with diagonal >= 1 (the Neumann series
-    I + alpha*L + alpha^2*L^2 + ... of a nonnegative matrix). sigma2 is the
+    Holds the system I - alpha*L and no solved P; `apply` and each `matrix`
+    read solve against it. P is symmetric, nonnegative, with diagonal >= 1 (the
+    Neumann series I + alpha*L + ... of a nonnegative matrix). sigma2 is the
     RBF bandwidth of the graph; NaN when assembled from a raw L.
     """
 
@@ -60,19 +61,13 @@ class Propagator:
     alpha: float
     sigma2: float
 
-    @functools.cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """P as a dense (n, n) array, formed by solving against I on first read."""
+        """P as a dense (n, n) array, formed by solving against I on each read."""
         return numerics.solve_spd(self.system, np.eye(self.system.shape[0]))
 
     def apply(self, b) -> np.ndarray:
-        """P @ b by Cholesky solve; past n columns of b, the formed P is cheaper.
-
-        Raises NonFiniteInput when b holds NaN or Inf.
-        """
-        if np.ndim(b) == 2 and np.shape(b)[1] > self.system.shape[0]:
-            b = numerics.as_matrix(b, "B")
-            return self.matrix @ b
+        """P @ b by `numerics.solve_spd`; NonFiniteInput when b holds NaN or Inf."""
         return numerics.solve_spd(self.system, b)
 
 

@@ -64,8 +64,9 @@ def solve_spd(m, b) -> np.ndarray:
     """Solve M X = B for symmetric positive definite M.
 
     Uses a Cholesky factorization, which doubles as the positive-definiteness
-    check: any nonpositive pivot aborts the solve. The result is a pure
-    function of the inputs (same bits in, same bits out).
+    check: any nonpositive pivot aborts the solve. A B with more columns than
+    rows is multiplied by M^-1, solved against I, which beats the wide solve.
+    The result is a pure function of the inputs (same bits in, same bits out).
 
     Parameters
     ----------
@@ -98,4 +99,6 @@ def solve_spd(m, b) -> np.ndarray:
         factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
+    if b.ndim == 2 and b.shape[1] > b.shape[0]:
+        return scipy.linalg.cho_solve(factor, np.eye(b.shape[0]), check_finite=False) @ b
     return scipy.linalg.cho_solve(factor, b, check_finite=False)

@@ -40,7 +40,7 @@ def propagate_embeddings(
     if mode is PropagationMode.FULL:
         ztilde = prop.apply(z)
     elif mode is PropagationMode.OFF_DIAGONAL_ONLY:
-        off = prop.matrix.copy()
+        off = prop.matrix
         np.fill_diagonal(off, 0.0)
         ztilde = off @ z
     elif mode is PropagationMode.DIAGONAL_ONLY:

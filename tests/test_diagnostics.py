@@ -14,7 +14,12 @@ from embedprop.diagnostics import (
     two_moons,
 )
 from embedprop.episodes import EvalConfig, SslMode, sample_episode
-from embedprop.errors import DimensionMismatch, NoUnlabeledPool, SameClassPair
+from embedprop.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NoUnlabeledPool,
+    SameClassPair,
+)
 from embedprop.graph import GraphConfig
 from embedprop.propagation import PropagationMode
 
@@ -79,6 +84,11 @@ class TestInterpolationCurve:
             interpolation_curve(data, ep, bad, ep.n_support, 3, cfg)
         with pytest.raises(ValueError, match="outside"):
             interpolation_curve(data, ep, ep.n_support, bad, 3, cfg)
+
+    def test_row_outside_the_set_rejected(self, episode_past_the_set):
+        data, ep, cfg = episode_past_the_set
+        with pytest.raises(InvariantViolation, match="episode row 99 outside a set of 30 rows"):
+            interpolation_curve(data, ep, 2, 3, 3, cfg)
 
     def test_two_class_swap_symmetry(self):
         data, cfg, ep = two_class_episode()

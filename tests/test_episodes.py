@@ -169,8 +169,24 @@ class TestEpisode:
                 labeled_mask=np.ones((2, 1), dtype=bool),
             )
 
+    def test_duplicate_class_identifiers_rejected(self):
+        # a repeated class would score 0.0 in run_episode
+        with pytest.raises(InvariantViolation, match="duplicate class identifiers"):
+            Episode(
+                classes=("c000", "c000"),
+                support=np.array([[0], [1]]),
+                query=np.array([[2], [3]]),
+                unlabeled=np.empty(0, dtype=np.intp),
+                labeled_mask=np.ones((2, 1), dtype=bool),
+            )
+
 
 class TestRunEpisode:
+    def test_row_outside_the_set_rejected(self, episode_past_the_set):
+        data, ep, cfg = episode_past_the_set
+        with pytest.raises(InvariantViolation, match="episode row 99 outside a set of 30 rows"):
+            run_episode(data, ep, cfg)
+
     def test_point_mass_classes_are_trivial(self):
         emb = np.array([[0.0, 0.0]] * 10 + [[100.0, 0.0]] * 10)
         data = EmbeddingSet(emb, ("a",) * 10 + ("b",) * 10)
@@ -437,6 +453,21 @@ class TestEvaluate:
             EvalConfig(episodes=0)
         with pytest.raises(ValueError):
             EvalConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_way", 2.5), ("k_shot", 1.5), ("q_queries", 2.0), ("u_unlabeled", 1.0),
+        ("episodes", 2.0), ("seed", 1.5),
+    ])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EvalConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = EvalConfig(n_way=np.int64(3), k_shot=np.int32(2), episodes=np.int64(4),
+                         seed=np.uint64(2**63))
+        assert evaluate(grid_dataset(), cfg).accuracies == evaluate(
+            grid_dataset(), EvalConfig(n_way=3, k_shot=2, episodes=4, seed=2**63)
+        ).accuracies
 
 
 @pytest.mark.slow

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embedprop import graph
 from embedprop.errors import (
+    DimensionMismatch,
     InvalidDistanceMatrix,
     IsolatedNode,
     NonFiniteInput,
@@ -124,6 +126,12 @@ class TestAdjacency:
         off = a[~np.eye(8, dtype=bool)]
         assert (off >= math.exp(-1.0) - 1e-15).all()
         assert (off > 0.0).all() and (off <= 1.0).all()
+
+    @pytest.mark.parametrize("override", [math.inf, math.nan, 0.0, -1.0])
+    def test_override_must_be_finite_and_positive(self, override):
+        # an infinite bandwidth would weigh every edge exp(-0) = 1: a uniform graph
+        with pytest.raises(ValueError, match="sigma2_override must be finite and positive"):
+            GraphConfig(sigma2_override=override)
 
     def test_diagonal_forced_zero(self):
         d2 = pairwise_sq_distances(np.random.default_rng(4).normal(size=(5, 2)))
@@ -250,14 +258,37 @@ class TestPropagator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("columns", [None, 1, 3, 4])
-    def test_non_finite_rhs_rejected_on_both_paths(self, bad, columns):
+    def test_non_finite_rhs_rejected_on_both_paths(self, bad, columns, monkeypatch):
         # 3 rows: up to 3 columns solve, 4 multiply by the formed P
         p = build_propagator(np.array([[0.0], [1.0], [3.0]]), GraphConfig())
         b = np.ones(3 if columns is None else (3, columns))
         b.flat[-1] = bad
+        factored = []
+        cho_factor = scipy.linalg.cho_factor
+        monkeypatch.setattr(
+            scipy.linalg, "cho_factor", lambda *a, **k: factored.append(1) or cho_factor(*a, **k)
+        )
         with pytest.raises(NonFiniteInput):
             p.apply(b)
-        assert "matrix" not in vars(p)  # rejected before P is formed
+        assert not factored  # rejected before anything is factored
+        p.apply(np.ones(b.shape))
+        assert len(factored) == 1
+
+    @pytest.mark.parametrize("columns", [1, 4])
+    def test_editing_a_read_matrix_leaves_apply_unchanged(self, columns):
+        p = build_propagator(np.array([[0.0], [1.0], [3.0]]), GraphConfig())
+        b = np.arange(3.0 * columns).reshape(3, columns)
+        before, matrix = p.apply(b), p.matrix.copy()
+        read = p.matrix
+        read += 2.5
+        np.testing.assert_array_equal(p.apply(b), before)
+        np.testing.assert_array_equal(p.matrix, matrix)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (2, 4), (4, 5)])
+    def test_wrong_row_count_rejected_on_both_paths(self, shape):
+        p = build_propagator(np.array([[0.0], [1.0], [3.0]]), GraphConfig())
+        with pytest.raises(DimensionMismatch, match="B must have 3 rows"):
+            p.apply(np.ones(shape))
 
     def test_invariants_random_batches(self):
         rng = np.random.default_rng(9)
