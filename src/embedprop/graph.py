@@ -5,11 +5,16 @@ bandwidth -> degree-normalized adjacency -> propagator P = (I - alpha*L)^-1,
 applied by `numerics.solve_spd`, which solves or multiplies by the formed P by
 the width of the right-hand side. Dense float64; episode-sized batches.
 
+Symmetry is built once, in the distance kernel, not repaired: every later
+stage is elementwise, so A, L and I - alpha*L stay exactly symmetric.
+
 Each stage allocates only its own result and works on it in place, without
 writing its input. `build_propagator` drops each input once the next stage
 holds its result, so an n-row batch peaks at two (n, n) float64 arrays plus
 block temporaries of about 1 MiB: the system and its Cholesky factor during
-a solve (16 n^2 bytes; 6.4 GB at n = 20 000).
+a solve (16 n^2 bytes; 6.4 GB at n = 20 000). Forming P (`Propagator.matrix`)
+holds four: the system, the identity, the factor and P. Both raise
+ResourceLimit before allocating when their arrays exceed physical memory.
 """
 
 import math
@@ -63,8 +68,14 @@ class Propagator:
 
     @property
     def matrix(self) -> np.ndarray:
-        """P as a dense (n, n) array, formed by solving against I on each read."""
-        return numerics.solve_spd(self.system, np.eye(self.system.shape[0]))
+        """P as a dense (n, n) array, formed by solving against I on each read.
+
+        Raises ResourceLimit, before allocating, when the four (n, n) arrays
+        this holds (the system, I, the factor and P) exceed physical memory.
+        """
+        n = self.system.shape[0]
+        _check_memory(n, 4, "forming P")
+        return numerics.solve_spd(self.system, np.eye(n))
 
     def apply(self, b) -> np.ndarray:
         """P @ b by `numerics.solve_spd`; NonFiniteInput when b holds NaN or Inf."""
@@ -162,11 +173,14 @@ def _off_diagonal_variance(d2: np.ndarray) -> float:
 def normalized_laplacian(a) -> np.ndarray:
     """Degree-normalized adjacency L = D^-1/2 A D^-1/2 with D_ii = sum_j A_ij.
 
-    For a single node the degree is zero and L is defined as [[0]]. A zero
-    row sum with n >= 2 cannot happen with an RBF adjacency and signals
-    corrupted input, as does a non-finite one (any NaN or Inf entry makes
-    its row sum non-finite). The result is exactly symmetric: (L + L^T) / 2
-    of the scaled matrix.
+    Formed as A * outer(d, d) with d = 1/sqrt(D). Since fl(d_i d_j) =
+    fl(d_j d_i), L is exactly symmetric whenever A is, as every A of
+    `adjacency` is; an asymmetric A is not averaged, and fails `solve_spd`.
+
+    For a single node the degree is zero and L is defined as [[0]]. With
+    n >= 2, a non-finite degree (any NaN or Inf entry) signals corrupted
+    input, as does a zero or subnormal one, whose d_i d_j could overflow
+    (RBF degrees are >= (n - 1) * tiny).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -178,21 +192,12 @@ def normalized_laplacian(a) -> np.ndarray:
         raise NonFiniteInput(f"row {bad} of A sums to {deg[bad]}")
     if a.shape[0] == 1:
         return np.zeros((1, 1))
-    if not (deg > 0.0).all():
+    if not (deg >= np.finfo(np.float64).tiny).all():
         bad = int(np.argmin(deg))
-        raise IsolatedNode(f"node {bad} has zero degree")
+        raise IsolatedNode(f"node {bad} has zero or subnormal degree {deg[bad]}")
     dinv = 1.0 / np.sqrt(deg)
-    lap = np.multiply(a, dinv[:, None], order="C")
-    lap *= dinv[None, :]
-    # (x + y) / 2 is commutative, so writing each upper-triangle mean to both
-    # (i, j) and (j, i) gives the bits of (lap + lap.T) / 2; the block's own
-    # square is already written, so only the strictly lower part is mirrored
-    for start, stop, scratch in numerics.upper_blocks(lap.shape[0]):
-        mean = scratch.reshape(stop - start, -1)
-        np.add(lap[start:stop, start:], lap[start:, start:stop].T, out=mean)
-        mean /= 2.0
-        lap[start:stop, start:] = mean
-        lap[stop:, start:stop] = mean[:, stop - start:].T
+    lap = np.multiply.outer(dinv, dinv)
+    lap *= a
     return lap
 
 
@@ -226,6 +231,17 @@ def physical_memory() -> int | None:
         return None
 
 
+def _check_memory(n: int, arrays: int, what: str) -> None:
+    """Raise ResourceLimit when `arrays` (n, n) float64 arrays exceed physical memory."""
+    need = arrays * 8 * n * n
+    available = physical_memory()
+    if available is not None and need > available:
+        raise ResourceLimit(
+            f"{what} over {n} rows needs about {need} bytes ({arrays} {n} x {n} float64 "
+            f"arrays), more than the {available} bytes of physical memory"
+        )
+
+
 def build_propagator(z, cfg: GraphConfig) -> Propagator:
     """Full chain from an embedding batch to its propagator.
 
@@ -234,14 +250,7 @@ def build_propagator(z, cfg: GraphConfig) -> Propagator:
     allocating any of them, when those two exceed the physical memory.
     """
     z = numerics.as_matrix(z, "Z")
-    n = z.shape[0]
-    need = 2 * 8 * n * n
-    available = physical_memory()
-    if available is not None and need > available:
-        raise ResourceLimit(
-            f"a graph over {n} rows needs about {need} bytes (two {n} x {n} float64 "
-            f"arrays), more than the {available} bytes of physical memory"
-        )
+    _check_memory(z.shape[0], 2, "a graph")
     a, sigma2 = adjacency(pairwise_sq_distances(z), cfg)
     lap = normalized_laplacian(a)
     del a

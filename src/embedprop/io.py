@@ -2,9 +2,10 @@
 
 Two on-disk formats carry an EmbeddingSet:
 
-* CSV: header ``id,label,split,f0,...,f{m-1}``, one row per embedding, split
-  empty or one of base/val/novel, features written with 17 significant
-  digits (lossless for float64).
+* CSV (UTF-8): header ``id,label,split,f0,...,f{m-1}``, one row per
+  embedding, split empty or one of base/val/novel, features written with 17
+  significant digits (lossless for float64) and read as float literals
+  without ``_`` digit separators.
 * Binary: magic ``EPB1``; little-endian u32 format version (=1), u32 N,
   u32 m, u32 label-table-size; label table of u16-length-prefixed UTF-8
   names; N u16 label indices; N u8 split codes (0=none, 1=base, 2=val,
@@ -21,6 +22,7 @@ import dataclasses
 import json
 import re
 import struct
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -55,8 +57,20 @@ def save_embeddings(data: EmbeddingSet, path) -> None:
         _save_csv(data, path)
 
 
+def _open_utf8(path) -> TextIOWrapper:
+    """A text stream over the file, decoded whole first, so that a bad byte is
+    reported at its offset in the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
+    return TextIOWrapper(BytesIO(blob), encoding="utf-8", newline="")
+
+
 def _load_csv(path) -> EmbeddingSet:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -86,8 +100,13 @@ def _load_csv(path) -> EmbeddingSet:
             ids.add(rid)
             labels.append(row[1])
             splits.append(row[2] if row[2] != "" else None)
+            features = row[3:]
+            # float() also reads Python's digit separators: "1_0" is 10.0
+            if "_" in "".join(features):
+                bad = next(tok for tok in features if "_" in tok)
+                raise ParseError(f"{path}:{lineno}: feature {bad!r} contains '_'")
             try:
-                rows.append([float(tok) for tok in row[3:]])
+                rows.append([float(tok) for tok in features])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not rows:

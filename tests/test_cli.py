@@ -160,6 +160,16 @@ def test_parse_error_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_utf8_csv_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"id,label,split,f0\n0,a\xff,,1.0\n1,b,,2.0\n")
+    out = tmp_path / "out.csv"
+    rc = main(["propagate", "--data", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "byte 21 is not valid UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "evaluate" in capsys.readouterr().out

@@ -15,6 +15,7 @@ from embedprop.errors import (
     IsolatedNode,
     NonFiniteInput,
     NotPositiveDefinite,
+    NotSymmetric,
     ResourceLimit,
 )
 from embedprop.graph import (
@@ -28,6 +29,7 @@ from embedprop.graph import (
     propagator,
 )
 from embedprop.numerics import BLOCK_ELEMENTS, solve_spd
+from embedprop.propagation import PropagationMode, propagate_embeddings
 
 
 def neumann_propagator(lap: np.ndarray, alpha: float, terms: int) -> np.ndarray:
@@ -186,14 +188,36 @@ class TestNormalizedLaplacian:
         with pytest.raises(NonFiniteInput, match=f"row {row} of A"):
             normalized_laplacian(a)
 
-    def test_blocked_symmetrization_matches_dense_formula(self):
-        # 500 rows take two row blocks; an asymmetric A makes the mean matter
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+    def test_bits_of_adjacency_times_outer_product(self, symmetric):
         rng = np.random.default_rng(13)
         a = rng.uniform(0.1, 2.0, size=(500, 500))
-        deg = a.sum(axis=1)
-        dinv = 1.0 / np.sqrt(deg)
-        lap = a * dinv[:, None] * dinv[None, :]
-        assert normalized_laplacian(a).tobytes() == ((lap + lap.T) / 2.0).tobytes()
+        if symmetric:
+            a = np.triu(a, 1)
+            a += a.T
+        dinv = 1.0 / np.sqrt(a.sum(axis=1))
+        expected = a * np.multiply.outer(dinv, dinv)
+        assert normalized_laplacian(a).tobytes() == expected.tobytes()
+
+    def test_asymmetric_adjacency_fails_at_apply(self):
+        # no averaging hides an asymmetric A: its system fails solve_spd's check
+        a = np.random.default_rng(14).uniform(0.1, 2.0, size=(6, 6))
+        np.fill_diagonal(a, 0.0)
+        p = propagator(normalized_laplacian(a), 0.5)
+        with pytest.raises(NotSymmetric):
+            p.apply(np.ones(6))
+
+    @pytest.mark.parametrize("weight", [1e-310, 5e-324, np.finfo(np.float64).tiny / 2])
+    def test_subnormal_degree_rejected(self, weight):
+        # d_i d_j = 1/deg overflows to inf below deg ~ 5.6e-309
+        a = np.array([[0.0, weight], [weight, 0.0]])
+        with pytest.raises(IsolatedNode, match="node 0 has zero or subnormal degree"):
+            normalized_laplacian(a)
+
+    def test_smallest_normal_degree_accepted(self):
+        tiny = np.finfo(np.float64).tiny
+        lap = normalized_laplacian(np.array([[0.0, tiny], [tiny, 0.0]]))
+        assert lap.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(5)
@@ -420,6 +444,34 @@ def test_bandwidth_is_numpy_var_bit_for_bit_property(seed, n, m, log_scale, offs
     assert sigma2 == (var if var >= VARIANCE_FLOOR else FALLBACK_SIGMA2)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(1, 6),
+    log_scale=st.floats(-3, 3),
+    offset=st.sampled_from([0.0, -37.5, 1e4]),
+    duplicates=st.integers(0, 5),
+    override=st.sampled_from([None, 0.05, 2.0]),
+)
+def test_laplacian_within_four_eps_of_long_double_property(
+    seed, n, m, log_scale, offset, duplicates, override
+):
+    # the float64 degree sums carry most of the error, and it grows with n:
+    # at n <= 120 up to 4.4 eps was seen
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, m)) * 10.0**log_scale + offset
+    dup = rng.integers(n, size=min(duplicates, n - 1))
+    z[rng.permutation(n)[: dup.size]] = z[dup]
+    a, _ = adjacency(pairwise_sq_distances(z), GraphConfig(sigma2_override=override))
+    lap = normalized_laplacian(a)
+    exact = a.astype(np.longdouble)
+    dinv = 1.0 / np.sqrt(exact.sum(axis=1))
+    exact *= dinv[:, None] * dinv[None, :]
+    off = ~np.eye(n, dtype=bool)
+    rel = np.abs(lap[off] - exact[off]) / exact[off]
+    assert rel.max() <= 4 * np.finfo(np.float64).eps
+
+
 def _layouts(x):
     """`x` as C-ordered, F-ordered and transposed-view inputs of equal values."""
     return {
@@ -488,6 +540,26 @@ class TestResourceLimit:
         for probe in (lambda: 2 * 8 * 30 * 30, lambda: None):
             monkeypatch.setattr(graph, "physical_memory", probe)
             assert (build_propagator(z, GraphConfig()).system == expected).all()
+
+    def test_forming_p_checks_four_arrays(self, monkeypatch):
+        # the graph and FULL propagation hold two n x n arrays, forming P four
+        z = np.random.default_rng(15).normal(size=(30, 2))
+        monkeypatch.setattr(graph, "physical_memory", lambda: 3 * 8 * 30 * 30)
+        propagate_embeddings(z, GraphConfig(), PropagationMode.FULL)
+        for mode in (PropagationMode.DIAGONAL_ONLY, PropagationMode.OFF_DIAGONAL_ONLY):
+            with pytest.raises(ResourceLimit, match=r"forming P over 30 rows needs about 28800"):
+                propagate_embeddings(z, GraphConfig(), mode)
+
+    def test_forming_p_raises_before_allocating(self, monkeypatch):
+        p = build_propagator(np.random.default_rng(16).normal(size=(30, 2)), GraphConfig())
+
+        def no_solve(m, b):
+            raise AssertionError("the check must fire before the identity and P")
+
+        monkeypatch.setattr(graph, "physical_memory", lambda: 4 * 8 * 30 * 30 - 1)
+        monkeypatch.setattr(graph.numerics, "solve_spd", no_solve)
+        with pytest.raises(ResourceLimit):
+            p.matrix
 
     def test_probe_reads_this_machine(self):
         available = graph.physical_memory()

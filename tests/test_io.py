@@ -67,6 +67,27 @@ class TestCsv:
             load_embeddings(path)
         assert ":2:" in str(exc.value)  # line number reported
 
+    def test_invalid_utf8_is_parse_error_at_its_byte(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,label,split,f0\n0,a,,1.0\n1,b\xffc,,2.0\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: byte 30 is not valid UTF-8"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "0.5_1", "1e1_0", "_1"])
+    def test_digit_separator_is_parse_error(self, tmp_path, token):
+        # Python's float() reads "1_0" as 10.0; a CSV feature never means that
+        path = tmp_path / "sep.csv"
+        path.write_text(f"id,label,split,f0,f1\n0,a,,1.0,2.0\n1,b,,3.0,{token}\n")
+        with pytest.raises(ParseError, match=rf":3: feature '{token}' contains '_'"):
+            load_embeddings(path)
+
+    def test_underscore_in_label_and_id_is_kept(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("id,label,split,f0\nrow_0,class_a,,1.5\n")
+        data = load_embeddings(path)
+        assert data.labels == ("class_a",)
+        assert data.embeddings.tolist() == [[1.5]]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("id,label,f0\na,x,1.0\n")
