@@ -200,6 +200,11 @@ class EvalConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, kind in (("graph", GraphConfig), ("mode", PropagationMode),
+                           ("classifier", Classifier), ("ssl", SslMode)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.n_way < 2:
             raise ValueError(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1 or self.q_queries < 1:

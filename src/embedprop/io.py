@@ -20,7 +20,6 @@ OSError propagates for unreadable/unwritable paths.
 import csv
 import dataclasses
 import json
-import re
 import struct
 from io import BytesIO, TextIOWrapper
 
@@ -36,17 +35,13 @@ _SPLIT_CODES = {None: 0, "base": 1, "val": 2, "novel": 3}
 _SPLIT_NAMES = {0: None, 1: "base", 2: "val", 3: "novel"}
 
 
-def sniff_format(path) -> str:
-    """'binary' if the file starts with the EPB1 magic, else 'csv'."""
-    with open(path, "rb") as fh:
-        return "binary" if fh.read(4) == MAGIC else "csv"
-
-
 def load_embeddings(path) -> EmbeddingSet:
     """Read an EmbeddingSet from `path`: binary if it starts with the EPB1 magic, else csv."""
-    if sniff_format(path) == "binary":
-        return _load_binary(path)
-    return _load_csv(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob.startswith(MAGIC):
+        return _parse_binary(blob, path)
+    return _parse_csv(blob, path)
 
 
 def save_embeddings(data: EmbeddingSet, path) -> None:
@@ -57,20 +52,13 @@ def save_embeddings(data: EmbeddingSet, path) -> None:
         _save_csv(data, path)
 
 
-def _open_utf8(path) -> TextIOWrapper:
-    """A text stream over the file, decoded whole first, so that a bad byte is
-    reported at its offset in the file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_csv(blob: bytes, path) -> EmbeddingSet:
+    # decoded whole first, so that a bad byte is reported at its offset in the file
     try:
         blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
-    return TextIOWrapper(BytesIO(blob), encoding="utf-8", newline="")
-
-
-def _load_csv(path) -> EmbeddingSet:
-    with _open_utf8(path) as fh:
+    with TextIOWrapper(BytesIO(blob), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -80,7 +68,7 @@ def _load_csv(path) -> EmbeddingSet:
             raise ParseError(f"{path}: header must start with id,label,split and one feature column")
         m = len(header) - 3
         for col, name in enumerate(header[3:]):
-            if not re.fullmatch(rf"f{col}", name):
+            if name != f"f{col}":
                 raise ParseError(f"{path}: feature column {col} is named {name!r}, expected f{col}")
 
         ids: set[str] = set()
@@ -149,12 +137,9 @@ class _Cursor:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def _load_binary(path) -> EmbeddingSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_binary(blob: bytes, path) -> EmbeddingSet:
     cur = _Cursor(blob, path)
-    if cur.take(4, "magic") != MAGIC:
-        raise ParseError(f"{path}: bad magic, not an EPB1 file")
+    cur.take(len(MAGIC), "magic")  # load_embeddings routed on it
     version = cur.u32("format version")
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
@@ -207,7 +192,13 @@ def _save_binary(data: EmbeddingSet, path) -> None:
     parts.append(np.asarray([index[lab] for lab in data.labels], dtype="<u2").tobytes())
     tags = data.split if data.split is not None else (None,) * data.n
     parts.append(np.asarray([_SPLIT_CODES[t] for t in tags], dtype="<u1").tobytes())
-    parts.append(data.embeddings.astype("<f4").tobytes())
+    with np.errstate(over="ignore"):
+        block = data.embeddings.astype("<f4")
+    overflow = np.isinf(block).any(axis=1)  # the set's own values are finite
+    if overflow.any():
+        row = int(np.argmax(overflow))
+        raise InvariantViolation(f"row {row} holds a value beyond the binary format's float32 range")
+    parts.append(block.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 

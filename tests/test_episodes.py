@@ -462,6 +462,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EvalConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("mode", "full"), ("classifier", "lp"), ("ssl", "pseudo"), ("graph", None),
+        ("classifier", PropagationMode.FULL),
+    ])
+    def test_config_rejects_values_outside_its_types(self, field, value):
+        # "lp" once ran the prototypical scorer, "pseudo" died mid-episode
+        with pytest.raises(ValueError, match=f"{field} must be a "):
+            EvalConfig(**{field: value})
+
     def test_config_accepts_numpy_integers(self):
         cfg = EvalConfig(n_way=np.int64(3), k_shot=np.int32(2), episodes=np.int64(4),
                          seed=np.uint64(2**63))

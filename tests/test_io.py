@@ -1,3 +1,4 @@
+import builtins
 import json
 import struct
 
@@ -5,16 +6,9 @@ import numpy as np
 import pytest
 
 from embedprop.episodes import EmbeddingSet, EvalConfig, evaluate
+from embedprop import io
 from embedprop.errors import InvariantViolation, ParseError
-from embedprop.io import (
-    MAGIC,
-    _load_binary,
-    load_embeddings,
-    report_to_dict,
-    save_embeddings,
-    sniff_format,
-    write_report,
-)
+from embedprop.io import MAGIC, load_embeddings, report_to_dict, save_embeddings, write_report
 
 
 def sample_set(n=7, m=3, seed=0, with_split=True):
@@ -160,18 +154,25 @@ class TestBinary:
         with pytest.raises(InvariantViolation, match="65536 classes, got 65537"):
             save_embeddings(data, tmp_path / "wide.epb")
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        emb = np.zeros((4, 2))
+        emb[2, 1] = 1e39  # finite in float64, inf in float32
+        path = tmp_path / "big.epb"
+        with pytest.raises(InvariantViolation, match="row 2 .*float32"):
+            save_embeddings(EmbeddingSet(emb, ("a", "b", "a", "b")), path)
+        assert not path.exists()
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "top.epb"
+        save_embeddings(EmbeddingSet(np.array([[top], [-top]]), ("a", "b")), path)
+        assert load_embeddings(path).embeddings.tolist() == [[top], [-top]]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.epb"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ParseError):
             load_embeddings(path)
-
-    def test_reader_checks_magic_itself(self, tmp_path):
-        # load_embeddings routes by the magic; the binary reader still checks it
-        path = tmp_path / "bad.epb"
-        path.write_bytes(b"NOPE" + b"\0" * 32)
-        with pytest.raises(ParseError, match="bad magic"):
-            _load_binary(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v9.epb"
@@ -220,15 +221,15 @@ class TestAutoFormat:
         csv_path, bin_path = tmp_path / "a.csv", tmp_path / "b.epb"
         save_embeddings(data, csv_path)
         save_embeddings(data, bin_path)
-        assert sniff_format(csv_path) == "csv"
-        assert sniff_format(bin_path) == "binary"
+        assert csv_path.read_bytes()[:4] != MAGIC
+        assert bin_path.read_bytes()[:4] == MAGIC
         assert load_embeddings(csv_path).labels == data.labels
         assert load_embeddings(bin_path).labels == data.labels
 
     @pytest.mark.parametrize("name, fmt", [("a.EPB", "binary"), ("a.bin", "binary"), ("a.csv", "csv")])
     def test_save_picks_format_from_suffix(self, tmp_path, name, fmt):
         save_embeddings(sample_set(), tmp_path / name)
-        assert sniff_format(tmp_path / name) == fmt
+        assert ((tmp_path / name).read_bytes()[:4] == MAGIC) == (fmt == "binary")
 
     def test_load_picks_format_from_content(self, tmp_path):
         data = sample_set()
@@ -239,6 +240,20 @@ class TestAutoFormat:
         np.testing.assert_array_equal(
             back.embeddings, data.embeddings.astype(np.float32).astype(np.float64)
         )
+
+    @pytest.mark.parametrize("name", ["a.csv", "a.epb"])
+    def test_load_opens_the_file_once(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        save_embeddings(sample_set(), path)
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open, raising=False)
+        load_embeddings(path)
+        assert opened == [path]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
