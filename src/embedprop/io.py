@@ -1,6 +1,8 @@
 """Embedding file formats and the JSON report schema.
 
-Two on-disk formats carry an EmbeddingSet:
+Two on-disk formats carry an EmbeddingSet. `load_embeddings` reads the file
+once and parses those bytes as binary when they start with the magic, else
+as CSV:
 
 * CSV (UTF-8): header ``id,label,split,f0,...,f{m-1}``, one row per
   embedding, split empty or one of base/val/novel, features written with 17
@@ -10,7 +12,8 @@ Two on-disk formats carry an EmbeddingSet:
   u32 m, u32 label-table-size; label table of u16-length-prefixed UTF-8
   names; N u16 label indices; N u8 split codes (0=none, 1=base, 2=val,
   3=novel); N*m f32 row-major embedding block. The file length must match
-  the header arithmetic exactly.
+  the header arithmetic exactly. The writer rejects a set with a value
+  beyond the f32 range before it creates the file.
 
 Decoding failures raise ParseError (with a position); decodable files whose
 content breaks an EmbeddingSet invariant raise InvariantViolation. Plain

@@ -467,7 +467,6 @@ class TestEvaluate:
         ("classifier", PropagationMode.FULL),
     ])
     def test_config_rejects_values_outside_its_types(self, field, value):
-        # "lp" once ran the prototypical scorer, "pseudo" died mid-episode
         with pytest.raises(ValueError, match=f"{field} must be a "):
             EvalConfig(**{field: value})
 
