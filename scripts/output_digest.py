@@ -6,9 +6,11 @@ PropagationMode combination on seeded Gaussian-cluster episodes, then
 `propagate_embeddings` in every PropagationMode at several batch shapes
 (n = 1 and 2, duplicate rows, a large common offset, up to 2000 x 64): its
 z_tilde, the propagator's system, sigma^2 and formed matrix. Every value is
-hashed by its raw float64 bytes, after a label naming it. Last come the JSON
-reports of one `evaluate` (default flags) and one `ssl` run (every flag set),
-both through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
+hashed by its raw float64 bytes, after a label naming it. Then come the bytes
+`save_embeddings` writes, as CSV and as EPB1, for one propagated batch whose
+labels need CSV quoting and whose rows carry mixed split tags. Last come the
+JSON reports of one `evaluate` (default flags) and one `ssl` run (every flag
+set), both through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
 
 The bits depend on the BLAS build, its thread count and the CPU, so the digest
 is not a golden value: run it for both versions on one host with the same
@@ -30,6 +32,7 @@ import numpy as np
 
 from embedprop import (
     Classifier,
+    EmbeddingSet,
     EvalConfig,
     GraphConfig,
     PropagationMode,
@@ -53,6 +56,11 @@ SHAPES = (
     (300, 64, 1e4, 0),
     (2000, 64, 0.0, 0),
 )
+
+# labels of the saved batch: csv quotes the first four; then a space, the
+# empty string and non-ASCII text
+LABELS = ("comma,label", 'quote"label', "line\r\nbreak", "lf\nonly", " spaced ", "", "ünï 日本")
+TAGS = (None, "base", "val", "novel")
 
 
 def _update(h, label: str, value) -> None:
@@ -96,6 +104,23 @@ def propagate_outputs(h, max_n: int) -> int:
     return count
 
 
+def saved_files(h) -> int:
+    rng = np.random.default_rng([40, 5])
+    ztilde, _ = propagate_embeddings(rng.normal(size=(40, 5)), GraphConfig(alpha=0.5),
+                                     PropagationMode.FULL)
+    n = ztilde.shape[0]
+    data = EmbeddingSet(ztilde, tuple(LABELS[i % len(LABELS)] for i in range(n)),
+                        tuple(TAGS[i % len(TAGS)] for i in range(n)))
+    names = ("batch.csv", "batch.epb")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            path = Path(tmp) / name
+            save_embeddings(data, path)
+            h.update(f"saved {name}\n".encode())
+            h.update(path.read_bytes())
+    return len(names)
+
+
 def cli_reports(h, episodes: int) -> int:
     runs = {
         "evaluate": ["--episodes", str(episodes)],
@@ -128,8 +153,10 @@ def main():
     h = hashlib.sha256()
     runs = episode_outputs(h, args.episodes)
     batches = propagate_outputs(h, args.max_n)
+    files = saved_files(h)
     reports = cli_reports(h, args.episodes)
-    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {reports} cli reports)")
+    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {files} saved files, "
+          f"{reports} cli reports)")
 
 
 if __name__ == "__main__":

@@ -283,9 +283,14 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
         unlabeled.append(rows[cfg.k_shot + cfg.q_queries :])
 
     n_labeled = labeled_count(cfg.labeled_fraction, cfg.k_shot)
-    mask = np.zeros((cfg.n_way, cfg.k_shot), dtype=bool)
-    for ci in range(cfg.n_way):
-        mask[ci, rng.choice(cfg.k_shot, size=n_labeled, replace=False)] = True
+    if n_labeled == cfg.k_shot:
+        # the draws below would pick every support; they are the stream's last,
+        # so skipping them leaves the episode unchanged
+        mask = np.ones((cfg.n_way, cfg.k_shot), dtype=bool)
+    else:
+        mask = np.zeros((cfg.n_way, cfg.k_shot), dtype=bool)
+        for ci in range(cfg.n_way):
+            mask[ci, rng.choice(cfg.k_shot, size=n_labeled, replace=False)] = True
 
     return Episode(
         classes=tuple(episode_classes),

@@ -5,6 +5,11 @@ bandwidth -> degree-normalized adjacency -> propagator P = (I - alpha*L)^-1,
 applied by `numerics.solve_spd`, which solves or multiplies by the formed P by
 the width of the right-hand side. Dense float64; episode-sized batches.
 
+The distance kernel is exact (no Gram expansion). It works by row blocks of
+the upper triangle: each block copies its rows into one reused scratch buffer
+of about 1 MiB, subtracts the other rows in place, and reduces with an einsum
+that writes into the result.
+
 Symmetry is built once, in the distance kernel, not repaired: every later
 stage is elementwise, so A, L and I - alpha*L stay exactly symmetric.
 
@@ -86,20 +91,28 @@ def pairwise_sq_distances(z) -> np.ndarray:
     """Squared Euclidean distances between all rows of `z`.
 
     Returns an (n, n) matrix that is exactly symmetric with an exactly zero
-    diagonal. The upper triangle (j >= i) is computed from the elementwise
-    differences z_i - z_j, reduced over the columns in the same order for every
-    block; the lower triangle is a copy of it. The copy is bit-equal to
-    computing it, since fl(a - b) = -fl(b - a) squares to the same value.
+    diagonal. The upper triangle (j >= i) is computed by row blocks from the
+    elementwise differences z_i - z_j, reduced over the columns in the same
+    order for every block; the lower triangle is a copy of it. The copy is
+    bit-equal to computing it, since fl(a - b) = -fl(b - a) squares to the same
+    value.
+
+    Each block copies its rows z_i into one scratch buffer that stays within
+    numerics.BLOCK_ELEMENTS (1 MiB; at least one row), subtracts the rows z_j
+    from it in place, and has the einsum write its sums straight into d2. The
+    copy and the subtract each broadcast one operand, which runs faster than
+    one subtract broadcasting both, and give the same bits: each difference is
+    one IEEE subtraction either way.
     """
     z = numerics.as_matrix(z, "Z")
     n, m = z.shape
     d2 = np.empty((n, n), dtype=np.float64)
-    # the difference temporary of one block stays within numerics.BLOCK_ELEMENTS
-    # (a 100 x 100 x 8 batch fits whole)
+    # a 100 x 100 x 8 batch fits one block
     for start, stop, scratch in numerics.upper_blocks(n, m):
         diff = scratch.reshape(stop - start, n - start, m)
-        np.subtract(z[start:stop, None, :], z[None, start:, :], out=diff)
-        d2[start:stop, start:] = np.einsum("ijk,ijk->ij", diff, diff)
+        np.copyto(diff, z[start:stop, None, :])
+        np.subtract(diff, z[None, start:, :], out=diff)
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:stop, start:])
         d2[stop:, start:stop] = d2[start:stop, stop:].T
     return d2
 

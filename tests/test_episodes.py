@@ -146,6 +146,44 @@ class TestSampleEpisode:
         counts = [sum(1 for r in ep.unlabeled if data.labels[r] == c) for c in ep.classes]
         assert sorted(counts) == [2, 2, 2, 3, 3]
 
+    @pytest.mark.parametrize("u_unlabeled", [0, 12])
+    @pytest.mark.parametrize("fraction", [1.0, 0.4])
+    def test_matches_sampler_with_every_mask_draw(self, fraction, u_unlabeled):
+        data = grid_dataset()
+        cfg = EvalConfig(n_way=5, k_shot=5, q_queries=6, u_unlabeled=u_unlabeled,
+                         labeled_fraction=fraction, episodes=1, seed=9)
+        for index in range(200):
+            ep = sample_episode(data, cfg, index)
+            classes, support, query, unlabeled, mask = sample_with_every_mask_draw(data, cfg, index)
+            assert ep.classes == classes
+            np.testing.assert_array_equal(ep.support, support)
+            np.testing.assert_array_equal(ep.query, query)
+            np.testing.assert_array_equal(ep.unlabeled, unlabeled)
+            np.testing.assert_array_equal(ep.labeled_mask, mask)
+
+
+def sample_with_every_mask_draw(data, cfg, episode_index):
+    """The sampler's draws, drawing every class's labeled mask even when all supports are labeled."""
+    rng = episodes.episode_rng(cfg.seed, episode_index)
+    by_class = data.class_rows()
+    max_need = cfg.k_shot + cfg.q_queries + math.ceil(cfg.u_unlabeled / cfg.n_way)
+    eligible = [c for c in sorted(by_class) if by_class[c].size >= max_need]
+    classes = tuple(sorted(eligible[i] for i in rng.choice(len(eligible), size=cfg.n_way,
+                                                           replace=False)))
+    base, extra = divmod(cfg.u_unlabeled, cfg.n_way)
+    support, query, unlabeled = [], [], []
+    for ci, cls in enumerate(classes):
+        u_c = base + (1 if ci < extra else 0)
+        rows = rng.choice(by_class[cls], size=cfg.k_shot + cfg.q_queries + u_c, replace=False)
+        support.append(rows[: cfg.k_shot])
+        query.append(rows[cfg.k_shot : cfg.k_shot + cfg.q_queries])
+        unlabeled.append(rows[cfg.k_shot + cfg.q_queries :])
+    n_labeled = labeled_count(cfg.labeled_fraction, cfg.k_shot)
+    mask = np.zeros((cfg.n_way, cfg.k_shot), dtype=bool)
+    for ci in range(cfg.n_way):
+        mask[ci, rng.choice(cfg.k_shot, size=n_labeled, replace=False)] = True
+    return classes, np.array(support), np.array(query), np.concatenate(unlabeled), mask
+
 
 class TestEpisode:
     def test_class_without_labeled_support_rejected(self):

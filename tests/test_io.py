@@ -1,9 +1,13 @@
 import builtins
+import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from embedprop.episodes import EmbeddingSet, EvalConfig, evaluate
 from embedprop import io
@@ -99,6 +103,74 @@ class TestCsv:
         path.write_text("id,label,split,f0\na,x,test,1.0\n")
         with pytest.raises(InvariantViolation):
             load_embeddings(path)
+
+
+def save_csv_cell_by_cell(data, path):
+    """The CSV writer that passed every cell through csv.writer; the byte oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label", "split"] + [f"f{i}" for i in range(data.dim)])
+        for i in range(data.n):
+            tag = data.split[i] if data.split is not None else None
+            writer.writerow(
+                [str(i), data.labels[i], tag if tag is not None else ""]
+                + [format(v, ".17g") for v in data.embeddings[i]]
+            )
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 3.0]
+EDGE_LABELS = [",", '"', "\r", "\n", " ", "", "a,\"b\"\r\n c", "ünï 日本"]
+
+
+@st.composite
+def embedding_sets(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    value = st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.integers(-(2**60), 2**60).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    label = st.one_of(
+        st.sampled_from(EDGE_LABELS),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+    labels = draw(st.lists(label, min_size=n, max_size=n))
+    tags = st.sampled_from([None, "base", "val", "novel"])
+    split = draw(st.none() | st.lists(tags, min_size=n, max_size=n))
+    return EmbeddingSet(np.array(rows, dtype=np.float64).reshape(n, m), tuple(labels), split)
+
+
+class TestCsvWriter:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=embedding_sets())
+    # every edge label on a row of every edge value, split None
+    @example(data=EmbeddingSet(np.array([EDGE_VALUES] * len(EDGE_LABELS)), tuple(EDGE_LABELS)))
+    # m = 1: one edge value and one edge label per row, mixed tags
+    @example(data=EmbeddingSet(
+        np.array([EDGE_VALUES]).T, tuple(EDGE_LABELS[: len(EDGE_VALUES)]),
+        (None, "base", "val", "novel", None, "novel", "val"),
+    ))
+    # n = 1 and m = 1
+    @example(data=EmbeddingSet(np.array([[-0.0]]), ("",), ("val",)))
+    def test_bytes_match_cell_by_cell_writer(self, tmp_path, data):
+        save_embeddings(data, tmp_path / "rows.csv")
+        save_csv_cell_by_cell(data, tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    def test_streams_rows(self, tmp_path):
+        # the 2000 x 64 file is ~2.9 MB, its values as Python floats ~3 MB:
+        # building either whole would peak far above the bound
+        data = sample_set(n=2000, m=64)
+        tracemalloc.start()
+        try:
+            save_embeddings(data, tmp_path / "big.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 2_000_000
+        assert peak < 1 << 20
 
 
 class TestBinary:
