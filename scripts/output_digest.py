@@ -8,7 +8,9 @@ PropagationMode combination on seeded Gaussian-cluster episodes, then
 z_tilde, the propagator's system, sigma^2 and formed matrix. Every value is
 hashed by its raw float64 bytes, after a label naming it. Then come the bytes
 `save_embeddings` writes, as CSV and as EPB1, for one propagated batch whose
-labels need CSV quoting and whose rows carry mixed split tags. Last come the
+labels need CSV quoting and whose rows carry mixed split tags, each followed
+by what `load_embeddings` reads back from that file: its embedding bytes,
+labels and split. Last come the
 JSON reports of one `evaluate` (default flags) and one `ssl` run (every flag
 set), both through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
 
@@ -39,6 +41,7 @@ from embedprop import (
     SslMode,
     cli,
     gaussian_clusters,
+    load_embeddings,
     propagate_embeddings,
     run_episode,
     sample_episode,
@@ -118,6 +121,9 @@ def saved_files(h) -> int:
             save_embeddings(data, path)
             h.update(f"saved {name}\n".encode())
             h.update(path.read_bytes())
+            back = load_embeddings(path)
+            _update(h, f"loaded {name} embeddings", back.embeddings)
+            h.update(f"loaded {name}\n{json.dumps([back.labels, back.split])}\n".encode())
     return len(names)
 
 
@@ -155,7 +161,7 @@ def main():
     batches = propagate_outputs(h, args.max_n)
     files = saved_files(h)
     reports = cli_reports(h, args.episodes)
-    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {files} saved files, "
+    print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {files} files saved and loaded, "
           f"{reports} cli reports)")
 
 

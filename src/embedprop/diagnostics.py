@@ -58,15 +58,15 @@ class BatchProjections:
     labels: tuple[str, ...]  # per output row
 
 
-def _episode_class_index(data: EmbeddingSet, ep: Episode, node_position: int) -> int:
-    nodes = _episode_rows(data, ep)
-    if not 0 <= node_position < nodes.size:
-        raise ValueError(f"node position {node_position} outside [0, {nodes.size})")
-    label = data.labels[nodes[node_position]]
+def _episode_class_index(data: EmbeddingSet, ep: Episode, nodes: np.ndarray, i: int) -> int:
+    """Episode class index of node position `i`; `nodes` are the episode's dataset rows."""
+    if not 0 <= i < nodes.size:
+        raise ValueError(f"node position {i} outside [0, {nodes.size})")
+    label = data.labels[nodes[i]]
     try:
         return ep.classes.index(label)
     except ValueError:
-        raise ValueError(f"node {node_position} has label {label!r} outside the episode") from None
+        raise ValueError(f"node {i} has label {label!r} outside the episode") from None
 
 
 def interpolation_curve(
@@ -96,12 +96,13 @@ def interpolation_curve(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    yi = _episode_class_index(data, ep, i)
-    yj = _episode_class_index(data, ep, j)
+    nodes = _episode_rows(data, ep)
+    yi = _episode_class_index(data, ep, nodes, i)
+    yj = _episode_class_index(data, ep, nodes, j)
     if yi == yj:
         raise SameClassPair(f"nodes {i} and {j} are both class {ep.classes[yi]!r}")
 
-    z = data.embeddings[_episode_rows(data, ep)]
+    z = data.embeddings[nodes]
     grid = np.linspace(0.0, 1.0, grid_size)
     probs = np.empty(grid_size)
     for g, w in enumerate(grid):

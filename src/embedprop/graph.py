@@ -17,25 +17,19 @@ Each stage allocates only its own result and works on it in place, without
 writing its input. `build_propagator` drops each input once the next stage
 holds its result, so an n-row batch peaks at two (n, n) float64 arrays plus
 block temporaries of about 1 MiB: the system and its Cholesky factor during
-a solve (16 n^2 bytes; 6.4 GB at n = 20 000). Forming P (`Propagator.matrix`)
-holds four: the system, the identity, the factor and P. Both raise
-ResourceLimit before allocating when their arrays exceed physical memory.
+a solve (16 n^2 bytes; 6.4 GB at n = 20 000). Forming P (`Propagator.matrix`,
+or an `apply` to a right-hand side wider than the batch) holds four: the
+system, the identity, the factor and P. Each raises ResourceLimit before
+allocating when its arrays exceed physical memory, by `numerics.check_memory`.
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DimensionMismatch,
-    InvalidDistanceMatrix,
-    IsolatedNode,
-    NonFiniteInput,
-    ResourceLimit,
-)
+from .errors import InvalidDistanceMatrix, IsolatedNode, NonFiniteInput
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -79,11 +73,14 @@ class Propagator:
         this holds (the system, I, the factor and P) exceed physical memory.
         """
         n = self.system.shape[0]
-        _check_memory(n, 4, "forming P")
+        numerics.check_memory(n, 4, "forming P")
         return numerics.solve_spd(self.system, np.eye(n))
 
     def apply(self, b) -> np.ndarray:
-        """P @ b by `numerics.solve_spd`; NonFiniteInput when b holds NaN or Inf."""
+        """P @ b by `numerics.solve_spd`; NonFiniteInput when b holds NaN or Inf.
+
+        A b wider than the batch forms P, so it raises ResourceLimit like `matrix`.
+        """
         return numerics.solve_spd(self.system, b)
 
 
@@ -132,15 +129,13 @@ def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
 
     Returns (A, sigma2_used).
     """
-    d2 = np.asarray(d2, dtype=np.float64)
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1] or d2.shape[0] < 1:
-        raise InvalidDistanceMatrix(f"D2 must be square, got shape {d2.shape}")
+    d2 = numerics.as_square(d2, "D2", InvalidDistanceMatrix)
     # NaN and Inf reach the maximum or the minimum; max |d2| is one of them
     hi, lo = float(d2.max()), float(d2.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidDistanceMatrix("D2 contains NaN or Inf entries")
     scale = 1.0 + max(abs(hi), abs(lo))
-    if not numerics.symmetry_defect(d2) <= 1e-9 * scale:
+    if not numerics.symmetry_defect(d2) <= numerics.SYMMETRY_RTOL * scale:
         raise InvalidDistanceMatrix("D2 is not symmetric")
     if not np.abs(np.diagonal(d2)).max() <= 1e-12 * scale:
         raise InvalidDistanceMatrix("D2 diagonal is not zero")
@@ -195,9 +190,7 @@ def normalized_laplacian(a) -> np.ndarray:
     input, as does a zero or subnormal one, whose d_i d_j could overflow
     (RBF degrees are >= (n - 1) * tiny).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"A must be square, got shape {a.shape}")
+    a = numerics.as_square(a, "A")
     deg = a.sum(axis=1)
     finite = np.isfinite(deg)
     if not finite.all():
@@ -222,11 +215,9 @@ def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
     factorization in solve_spd checks that at the first `apply` or `matrix`
     read, raising NotPositiveDefinite. `sigma2` only tags the result.
     """
-    lap = np.asarray(lap, dtype=np.float64)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1] or lap.shape[0] < 1:
-        raise DimensionMismatch(f"L must be square, got shape {lap.shape}")
+    lap = numerics.as_square(lap, "L")
     # the bits of np.eye(n) - alpha * lap: 0.0 - x (never -x, which would turn
     # +0.0 into -0.0) off the diagonal and 1.0 - x on it
     system = np.multiply(lap, alpha, order="C")
@@ -234,25 +225,6 @@ def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
     np.subtract(0.0, system, out=system)
     np.fill_diagonal(system, diagonal)
     return Propagator(system=system, alpha=float(alpha), sigma2=float(sigma2))
-
-
-def physical_memory() -> int | None:
-    """Bytes of physical memory reported by os.sysconf, or None where it reports none."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(n: int, arrays: int, what: str) -> None:
-    """Raise ResourceLimit when `arrays` (n, n) float64 arrays exceed physical memory."""
-    need = arrays * 8 * n * n
-    available = physical_memory()
-    if available is not None and need > available:
-        raise ResourceLimit(
-            f"{what} over {n} rows needs about {need} bytes ({arrays} {n} x {n} float64 "
-            f"arrays), more than the {available} bytes of physical memory"
-        )
 
 
 def build_propagator(z, cfg: GraphConfig) -> Propagator:
@@ -263,7 +235,7 @@ def build_propagator(z, cfg: GraphConfig) -> Propagator:
     allocating any of them, when those two exceed the physical memory.
     """
     z = numerics.as_matrix(z, "Z")
-    _check_memory(z.shape[0], 2, "a graph")
+    numerics.check_memory(z.shape[0], 2, "a graph")
     a, sigma2 = adjacency(pairwise_sq_distances(z), cfg)
     lap = normalized_laplacian(a)
     del a

@@ -27,18 +27,18 @@ import csv
 import dataclasses
 import json
 import struct
-from io import BytesIO, TextIOWrapper
+from io import StringIO
 
 import numpy as np
 
-from .episodes import EmbeddingSet, EvalConfig, EvalReport
+from .episodes import SPLIT_TAGS, EmbeddingSet, EvalConfig, EvalReport
 from .errors import InvariantViolation, ParseError
 from .graph import FALLBACK_SIGMA2, VARIANCE_FLOOR
 
 MAGIC = b"EPB1"
 BINARY_VERSION = 1
-_SPLIT_CODES = {None: 0, "base": 1, "val": 2, "novel": 3}
-_SPLIT_NAMES = {0: None, 1: "base", 2: "val", 3: "novel"}
+# a split's binary code is its index here
+_SPLIT_NAMES = (None,) + SPLIT_TAGS
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -59,50 +59,49 @@ def save_embeddings(data: EmbeddingSet, path) -> None:
 
 
 def _parse_csv(blob: bytes, path) -> EmbeddingSet:
-    # decoded whole first, so that a bad byte is reported at its offset in the file
+    # decoded whole, so that a bad byte is reported at its offset in the file;
+    # csv reads that one text
     try:
-        blob.decode("utf-8")
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
-    with TextIOWrapper(BytesIO(blob), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if len(header) < 4 or header[:3] != ["id", "label", "split"]:
-            raise ParseError(f"{path}: header must start with id,label,split and one feature column")
-        m = len(header) - 3
-        for col, name in enumerate(header[3:]):
-            if name != f"f{col}":
-                raise ParseError(f"{path}: feature column {col} is named {name!r}, expected f{col}")
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if len(header) < 4 or header[:3] != ["id", "label", "split"]:
+        raise ParseError(f"{path}: header must start with id,label,split and one feature column")
+    for col, name in enumerate(header[3:]):
+        if name != f"f{col}":
+            raise ParseError(f"{path}: feature column {col} is named {name!r}, expected f{col}")
 
-        ids: set[str] = set()
-        labels: list[str] = []
-        splits: list[str | None] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InvariantViolation(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            rid = row[0]
-            if rid in ids:
-                raise InvariantViolation(f"{path}:{lineno}: duplicate id {rid!r}")
-            ids.add(rid)
-            labels.append(row[1])
-            splits.append(row[2] if row[2] != "" else None)
-            features = row[3:]
-            # float() also reads Python's digit separators: "1_0" is 10.0
-            if "_" in "".join(features):
-                bad = next(tok for tok in features if "_" in tok)
-                raise ParseError(f"{path}:{lineno}: feature {bad!r} contains '_'")
-            try:
-                rows.append([float(tok) for tok in features])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    ids: set[str] = set()
+    labels: list[str] = []
+    splits: list[str | None] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InvariantViolation(
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+        rid = row[0]
+        if rid in ids:
+            raise InvariantViolation(f"{path}:{lineno}: duplicate id {rid!r}")
+        ids.add(rid)
+        labels.append(row[1])
+        splits.append(row[2] if row[2] != "" else None)
+        features = row[3:]
+        # float() also reads Python's digit separators: "1_0" is 10.0
+        if "_" in "".join(features):
+            bad = next(tok for tok in features if "_" in tok)
+            raise ParseError(f"{path}:{lineno}: feature {bad!r} contains '_'")
+        try:
+            rows.append([float(tok) for tok in features])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise InvariantViolation(f"{path}: no data rows")
     split = None if all(s is None for s in splits) else tuple(splits)
@@ -186,12 +185,12 @@ def _parse_binary(blob: bytes, path) -> EmbeddingSet:
 
     if idx.size and idx.max() >= table_size:
         raise ParseError(f"{path}: label index {int(idx.max())} >= table size {table_size}")
-    if codes.size and codes.max() > 3:
+    if codes.size and codes.max() >= len(_SPLIT_NAMES):
         raise ParseError(f"{path}: unknown split code {int(codes.max())}")
     labels = tuple(table[i] for i in idx)
     splits = tuple(_SPLIT_NAMES[int(c)] for c in codes)
     split = None if all(s is None for s in splits) else splits
-    emb = values.astype(np.float64).reshape(n, m) if n and m else np.empty((n, m))
+    emb = values.astype(np.float64).reshape(n, m)
     return EmbeddingSet(embeddings=emb, labels=labels, split=split)
 
 
@@ -209,7 +208,7 @@ def _save_binary(data: EmbeddingSet, path) -> None:
         parts.append(raw)
     parts.append(np.asarray([index[lab] for lab in data.labels], dtype="<u2").tobytes())
     tags = data.split if data.split is not None else (None,) * data.n
-    parts.append(np.asarray([_SPLIT_CODES[t] for t in tags], dtype="<u1").tobytes())
+    parts.append(np.asarray([_SPLIT_NAMES.index(t) for t in tags], dtype="<u1").tobytes())
     with np.errstate(over="ignore"):
         block = data.embeddings.astype("<f4")
     overflow = np.isinf(block).any(axis=1)  # the set's own values are finite

@@ -3,12 +3,24 @@
 Everything works on plain float64 numpy arrays. Episode batches are at most a
 few hundred rows, so direct dense factorizations are the right tool; there is
 deliberately no sparse or iterative path here.
+
+The shared input and resource rules live here, once: the matrix and square
+matrix checks, the symmetry tolerance, and the physical-memory check that
+`graph` and `solve_spd` make before allocating (n, n) arrays.
 """
+
+import os
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, NotSymmetric
+from .errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    NotSymmetric,
+    ResourceLimit,
+)
 
 # Relative asymmetry tolerated before a matrix is rejected as not symmetric.
 SYMMETRY_RTOL = 1e-9
@@ -28,6 +40,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
     return m
+
+
+def as_square(a, name: str, error=DimensionMismatch) -> np.ndarray:
+    """Coerce `a` to a float64 (n, n) array with n >= 1; raise `error` otherwise."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise error(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory reported by os.sysconf, or None where it reports none."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(n: int, arrays: int, what: str) -> None:
+    """Raise ResourceLimit when `arrays` (n, n) float64 arrays exceed physical memory."""
+    need = arrays * 8 * n * n
+    available = physical_memory()
+    if available is not None and need > available:
+        raise ResourceLimit(
+            f"{what} over {n} rows needs about {need} bytes ({arrays} {n} x {n} float64 "
+            f"arrays), more than the {available} bytes of physical memory"
+        )
 
 
 def upper_blocks(n: int, depth: int = 1):
@@ -65,8 +104,10 @@ def solve_spd(m, b) -> np.ndarray:
 
     Uses a Cholesky factorization, which doubles as the positive-definiteness
     check: any nonpositive pivot aborts the solve. A B with more columns than
-    rows is multiplied by M^-1, solved against I, which beats the wide solve.
-    The result is a pure function of the inputs (same bits in, same bits out).
+    rows is multiplied by M^-1, solved against I, which beats the wide solve;
+    that branch holds four (n, n) arrays (M, its factor, I and M^-1) and raises
+    ResourceLimit before factoring when they exceed physical memory. The
+    result is a pure function of the inputs (same bits in, same bits out).
 
     Parameters
     ----------
@@ -77,12 +118,11 @@ def solve_spd(m, b) -> np.ndarray:
 
     Raises
     ------
-    DimensionMismatch, NonFiniteInput, NotSymmetric, NotPositiveDefinite
+    DimensionMismatch, NonFiniteInput, NotSymmetric, NotPositiveDefinite,
+    ResourceLimit
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = as_square(m, "M")
     b = np.asarray(b, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatch(f"M must be square, got shape {m.shape}")
     if b.ndim not in (1, 2) or b.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"B must have {m.shape[0]} rows, got shape {b.shape}"
@@ -95,10 +135,13 @@ def solve_spd(m, b) -> np.ndarray:
     # `not <=` instead of `>` so NaN defects (non-finite input) are rejected too.
     if not defect <= tol:
         raise NotSymmetric(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    wide = b.ndim == 2 and b.shape[1] > b.shape[0]
+    if wide:
+        check_memory(b.shape[0], 4, "forming M^-1")
     try:
         factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    if b.ndim == 2 and b.shape[1] > b.shape[0]:
+    if wide:
         return scipy.linalg.cho_solve(factor, np.eye(b.shape[0]), check_finite=False) @ b
     return scipy.linalg.cho_solve(factor, b, check_finite=False)

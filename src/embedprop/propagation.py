@@ -47,6 +47,6 @@ def propagate_embeddings(
         ztilde = np.diagonal(prop.matrix)[:, None] * z
     elif mode is PropagationMode.IDENTITY:
         ztilde = z.copy()
-    else:  # pragma: no cover - enum is closed
+    else:  # not a PropagationMode, e.g. its string value
         raise ValueError(f"unknown propagation mode {mode!r}")
     return ztilde, prop

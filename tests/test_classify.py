@@ -14,7 +14,7 @@ from embedprop.classify import (
     prototypical_scores,
     softmax_probs,
 )
-from embedprop.errors import EmptyClass, LabelOutOfRange
+from embedprop.errors import DimensionMismatch, EmptyClass, LabelOutOfRange
 from embedprop.graph import GraphConfig
 
 from test_graph import neumann_propagator, laplacian_from_points
@@ -50,6 +50,19 @@ class TestLabelPropagationScores:
         y = build_label_matrix(4, 3, [0, 1], [0, 0])  # class 1, 2 empty
         with pytest.raises(EmptyClass):
             label_propagation_scores(z, y, GraphConfig())
+
+    @pytest.mark.parametrize("y, message", [
+        ([[0.5, 0.0], [0.0, 1.0]], "entries must be 0 or 1"),
+        ([[1.0, 1.0], [0.0, 1.0]], "at most one 1"),
+    ], ids=["fractional", "two-ones"])
+    def test_malformed_label_matrix_rejected(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            label_propagation_scores(np.array([[0.0], [1.0]]), y, GraphConfig())
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,)])
+    def test_label_matrix_needs_one_row_per_node(self, shape):
+        with pytest.raises(DimensionMismatch, match="label matrix must have 2 rows"):
+            label_propagation_scores(np.array([[0.0], [1.0]]), np.zeros(shape), GraphConfig())
 
     def test_scores_nonnegative_and_cover_all_rows(self):
         rng = np.random.default_rng(2)
@@ -93,6 +106,10 @@ class TestBuildLabelMatrix:
         with pytest.raises(LabelOutOfRange):
             build_label_matrix(3, 2, [0], [cls])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="matching lengths"):
+            build_label_matrix(3, 2, [0, 1], [0])
+
 
 class TestSoftmax:
     def test_uniform_rows(self):
@@ -130,6 +147,11 @@ class TestCrossEntropy:
         with pytest.raises(LabelOutOfRange):
             lp_cross_entropy([[0.5, 0.5]], [2])
 
+    @pytest.mark.parametrize("labels", [[0, 1], [[0]]])
+    def test_needs_one_label_per_row(self, labels):
+        with pytest.raises(DimensionMismatch, match="need one label per row"):
+            lp_cross_entropy([[0.5, 0.5]], labels)
+
 
 class TestPrototypicalScores:
     def test_class_mean_prototype(self):
@@ -153,6 +175,17 @@ class TestPrototypicalScores:
     def test_missing_class_rejected(self):
         with pytest.raises(EmptyClass):
             prototypical_scores(np.array([[0.0], [1.0]]), [0, 0], np.array([[0.5]]), n_classes=2)
+
+    @pytest.mark.parametrize("query_dim, labels, n_classes, error, message", [
+        (2, [0, 1], None, DimensionMismatch, "support and query dimensions differ"),
+        (1, [0], None, DimensionMismatch, "one label per support row"),
+        (1, [0, -1], None, LabelOutOfRange, "negative class index"),
+        (1, [0, 2], 2, LabelOutOfRange, r"label index outside \[0, 2\)"),
+    ], ids=["widths", "label-count", "negative", "out-of-range"])
+    def test_bad_inputs_rejected(self, query_dim, labels, n_classes, error, message):
+        with pytest.raises(error, match=message):
+            prototypical_scores(np.array([[0.0], [1.0]]), labels, np.zeros((1, query_dim)),
+                                n_classes=n_classes)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from embedprop import cli, graph
+from embedprop import cli, numerics
 from embedprop.cli import main
 from embedprop.diagnostics import gaussian_clusters
 from embedprop.episodes import Classifier, EvalConfig, SslMode
@@ -144,7 +144,7 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
 
 
 def test_propagate_over_memory_exits_2(cluster_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(graph, "physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(numerics, "physical_memory", lambda: 1 << 20)
     out = tmp_path / "out.csv"
     rc = main(["propagate", "--data", str(cluster_file), "--out", str(out)])
     assert rc == 2

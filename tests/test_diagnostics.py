@@ -13,7 +13,7 @@ from embedprop.diagnostics import (
     random_query_pairs,
     two_moons,
 )
-from embedprop.episodes import EvalConfig, SslMode, sample_episode
+from embedprop.episodes import Episode, EvalConfig, SslMode, sample_episode
 from embedprop.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -90,6 +90,20 @@ class TestInterpolationCurve:
         with pytest.raises(InvariantViolation, match="episode row 99 outside a set of 30 rows"):
             interpolation_curve(data, ep, 2, 3, 3, cfg)
 
+    def test_node_of_another_class_rejected(self):
+        # query row 40 of this set is class c002, which the episode does not hold
+        data = gaussian_clusters(3, 20, spread=0.3, seed=0)
+        ep = Episode(
+            classes=("c000", "c001"),
+            support=np.array([[0], [20]]),
+            query=np.array([[1], [40]]),
+            unlabeled=np.empty(0, dtype=np.intp),
+            labeled_mask=np.ones((2, 1), dtype=bool),
+        )
+        cfg = EvalConfig(n_way=2, k_shot=1, q_queries=1, episodes=1)
+        with pytest.raises(ValueError, match="node 3 has label 'c002' outside the episode"):
+            interpolation_curve(data, ep, 2, 3, 3, cfg)
+
     def test_two_class_swap_symmetry(self):
         data, cfg, ep = two_class_episode()
         i = ep.n_support + 1
@@ -137,6 +151,10 @@ class TestTwoMoons:
         with pytest.raises(ValueError, match="noise_sd"):
             two_moons(10, noise, seed=0)
 
+    def test_bad_size_rejected(self):
+        with pytest.raises(ValueError, match="n_per_moon must be >= 1, got 0"):
+            two_moons(0, 0.1, seed=0)
+
     def test_labels(self):
         data = two_moons(3, 0.0, seed=0)
         assert data.labels == ("moon0",) * 3 + ("moon1",) * 3
@@ -183,6 +201,10 @@ class TestCompactnessMetrics:
         with pytest.raises(DimensionMismatch):
             compactness_metrics(np.ones((3, 2)), ["a", "a", "b"], np.ones((3, 3)))
 
+    def test_label_count_rejected(self):
+        with pytest.raises(DimensionMismatch, match="need one label per row"):
+            compactness_metrics(np.ones((3, 2)), ["a", "b"], np.ones((3, 2)))
+
     def test_moons_relative_compaction(self):
         from embedprop.propagation import propagate_embeddings
 
@@ -206,6 +228,16 @@ class TestGaussianClusters:
         with pytest.raises(ValueError, match="spread"):
             gaussian_clusters(3, 5, spread=spread, seed=0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1, 5), "n_classes must be >= 2, got 1"),
+        ((3, 0), "n_per_class must be >= 1, got 0"),
+        ((3, 5, 2), "dim must be >= n_classes, got 2 < 3"),
+    ], ids=["classes", "per-class", "dim"])
+    def test_bad_layout_rejected(self, args, message):
+        n_classes, n_per_class, *dim = args
+        with pytest.raises(ValueError, match=message):
+            gaussian_clusters(n_classes, n_per_class, 0.3, 0, *dim)
+
     def test_deterministic(self):
         a = gaussian_clusters(4, 10, spread=0.3, seed=5)
         b = gaussian_clusters(4, 10, spread=0.3, seed=5)
@@ -222,6 +254,17 @@ class TestBatchProjections:
         assert (a.batch == np.repeat([0, 1, 2], 20)).all()
         assert (a.coords == b.coords).all()
         assert len(a.labels) == 60
+
+    @pytest.mark.parametrize("n_batches, batch_size, message", [
+        (1, 0, r"batch_size must lie in \[1, 20\], got 0"),
+        (1, 21, r"batch_size must lie in \[1, 20\], got 21"),
+        (0, 5, "n_batches must be >= 1, got 0"),
+    ], ids=["empty-batch", "batch-over-set", "no-batches"])
+    def test_bad_arguments_rejected(self, n_batches, batch_size, message):
+        data = two_moons(10, 0.05, seed=6)
+        with pytest.raises(ValueError, match=message):
+            batch_projections(data, n_batches=n_batches, batch_size=batch_size,
+                              cfg=GraphConfig(), seed=0)
 
     def test_point_moves_across_batches(self):
         data = two_moons(40, 0.05, seed=6)

@@ -70,12 +70,27 @@ class TestEmbeddingSet:
         with pytest.raises(InvariantViolation):
             EmbeddingSet(np.ones((1, 1)), ("a",), ("test",))
 
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (1, 0), (1, 1, 1)])
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(InvariantViolation, match=r"embeddings must be \(N, m\)"):
+            EmbeddingSet(np.ones(shape), ("a",))
+
+    def test_rejects_split_count_mismatch(self):
+        with pytest.raises(InvariantViolation, match="1 split tags for 2 rows"):
+            EmbeddingSet(np.ones((2, 1)), ("a", "b"), ("base",))
+
     def test_filter_split(self):
         data = EmbeddingSet(
             np.arange(6.0).reshape(3, 2), ("a", "a", "b"), ("base", "novel", "novel")
         )
         novel = data.filter_split("novel")
         assert novel.n == 2 and novel.labels == ("a", "b")
+
+    def test_filter_split_errors(self):
+        with pytest.raises(InvariantViolation, match="set has no split tags"):
+            EmbeddingSet(np.ones((2, 1)), ("a", "b")).filter_split("base")
+        with pytest.raises(InvariantViolation, match="no rows with split 'val'"):
+            EmbeddingSet(np.ones((2, 1)), ("a", "b"), ("base", None)).filter_split("val")
 
 
 class TestSampleEpisode:
@@ -206,6 +221,24 @@ class TestEpisode:
                 unlabeled=np.empty(0, dtype=np.intp),
                 labeled_mask=np.ones((2, 1), dtype=bool),
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("support", np.array([0, 2]), r"support must be \(2, k\), got \(2,\)"),
+        ("query", np.array([[1, 3]]), r"query must be \(2, q\), got \(1, 2\)"),
+        ("labeled_mask", np.ones((2, 2), dtype=bool), "labeled_mask must match support shape"),
+        ("unlabeled", np.array([3]), "support, query, and unlabeled indices overlap"),
+    ], ids=["support", "query", "mask", "overlap"])
+    def test_malformed_layout_rejected(self, field, value, message):
+        layout = dict(
+            classes=("a", "b"),
+            support=np.array([[0], [2]]),
+            query=np.array([[1], [3]]),
+            unlabeled=np.empty(0, dtype=np.intp),
+            labeled_mask=np.ones((2, 1), dtype=bool),
+        )
+        layout[field] = value
+        with pytest.raises(InvariantViolation, match=message):
+            Episode(**layout)
 
     def test_duplicate_class_identifiers_rejected(self):
         # a repeated class would score 0.0 in run_episode
@@ -491,6 +524,15 @@ class TestEvaluate:
             EvalConfig(episodes=0)
         with pytest.raises(ValueError):
             EvalConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("k_shot", 0, "k_shot and q_queries must be >= 1"),
+        ("q_queries", 0, "k_shot and q_queries must be >= 1"),
+        ("u_unlabeled", -1, "u_unlabeled must be >= 0, got -1"),
+    ], ids=["k_shot", "q_queries", "u_unlabeled"])
+    def test_config_rejects_counts_below_their_range(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EvalConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("n_way", 2.5), ("k_shot", 1.5), ("q_queries", 2.0), ("u_unlabeled", 1.0),

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from embedprop import graph
+from embedprop import graph, numerics
 from embedprop.errors import (
     DimensionMismatch,
     InvalidDistanceMatrix,
@@ -28,7 +28,7 @@ from embedprop.graph import (
     pairwise_sq_distances,
     propagator,
 )
-from embedprop.numerics import BLOCK_ELEMENTS, solve_spd
+from embedprop.numerics import BLOCK_ELEMENTS, SYMMETRY_RTOL, solve_spd
 from embedprop.propagation import PropagationMode, propagate_embeddings
 
 
@@ -141,17 +141,43 @@ class TestAdjacency:
         assert (np.diagonal(a) == 0.0).all()
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message",
         [
-            np.array([[0.0, 1.0], [2.0, 0.0]]),  # asymmetric
-            np.array([[0.5, 1.0], [1.0, 0.0]]),  # nonzero diagonal
-            np.array([[0.0, -1.0], [-1.0, 0.0]]),  # negative
-            np.array([[0.0, np.nan], [np.nan, 0.0]]),  # non-finite
+            (np.array([[0.0, 1.0], [2.0, 0.0]]), "D2 is not symmetric"),
+            (np.array([[0.5, 1.0], [1.0, 0.0]]), "D2 diagonal is not zero"),
+            (np.array([[0.0, -1.0], [-1.0, 0.0]]), "D2 has negative entries"),
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), "D2 contains NaN or Inf"),
+            (np.zeros((2, 3)), r"D2 must be square, got shape \(2, 3\)"),
+            (np.zeros(4), r"D2 must be square, got shape \(4,\)"),
+            (np.zeros((0, 0)), r"D2 must be square, got shape \(0, 0\)"),
         ],
+        ids=[f"bad{i}" for i in range(7)],
     )
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(InvalidDistanceMatrix):
+    def test_rejects_invalid(self, bad, message):
+        with pytest.raises(InvalidDistanceMatrix, match=message):
             adjacency(bad, GraphConfig())
+
+    def test_symmetry_tolerance_scales_with_the_largest_entry(self):
+        # the defect may reach SYMMETRY_RTOL * (1 + max |d2|) and no further
+        big = 1e6
+        tol = SYMMETRY_RTOL * (1.0 + big)
+        d2 = np.array([[0.0, big], [big - tol, 0.0]])
+        assert big - d2[1, 0] <= tol
+        adjacency(d2, GraphConfig())
+        d2[1, 0] = np.nextafter(d2[1, 0], -np.inf)
+        with pytest.raises(InvalidDistanceMatrix, match="not symmetric"):
+            adjacency(d2, GraphConfig())
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (2, 2, 2)])
+@pytest.mark.parametrize("stage, name", [
+    (normalized_laplacian, "A"),
+    (lambda lap: propagator(lap, 0.5), "L"),
+    (lambda m: solve_spd(m, np.ones(2)), "M"),
+], ids=["laplacian", "propagator", "solve"])
+def test_square_stages_reject_other_shapes(stage, name, shape):
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be square, got shape "):
+        stage(np.zeros(shape))
 
 
 class TestNormalizedLaplacian:
@@ -529,7 +555,7 @@ class TestResourceLimit:
         def no_distances(z):
             raise AssertionError("the check must fire before the first n x n array")
 
-        monkeypatch.setattr(graph, "physical_memory", lambda: 2 * 8 * 30 * 30 - 1)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: 2 * 8 * 30 * 30 - 1)
         monkeypatch.setattr(graph, "pairwise_sq_distances", no_distances)
         with pytest.raises(ResourceLimit, match=r"30 rows needs about 14400 bytes"):
             build_propagator(np.zeros((30, 2)), GraphConfig())
@@ -538,13 +564,13 @@ class TestResourceLimit:
         z = np.random.default_rng(12).normal(size=(30, 2))
         expected = build_propagator(z, GraphConfig()).system
         for probe in (lambda: 2 * 8 * 30 * 30, lambda: None):
-            monkeypatch.setattr(graph, "physical_memory", probe)
+            monkeypatch.setattr(numerics, "physical_memory", probe)
             assert (build_propagator(z, GraphConfig()).system == expected).all()
 
     def test_forming_p_checks_four_arrays(self, monkeypatch):
         # the graph and FULL propagation hold two n x n arrays, forming P four
         z = np.random.default_rng(15).normal(size=(30, 2))
-        monkeypatch.setattr(graph, "physical_memory", lambda: 3 * 8 * 30 * 30)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: 3 * 8 * 30 * 30)
         propagate_embeddings(z, GraphConfig(), PropagationMode.FULL)
         for mode in (PropagationMode.DIAGONAL_ONLY, PropagationMode.OFF_DIAGONAL_ONLY):
             with pytest.raises(ResourceLimit, match=r"forming P over 30 rows needs about 28800"):
@@ -556,11 +582,30 @@ class TestResourceLimit:
         def no_solve(m, b):
             raise AssertionError("the check must fire before the identity and P")
 
-        monkeypatch.setattr(graph, "physical_memory", lambda: 4 * 8 * 30 * 30 - 1)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: 4 * 8 * 30 * 30 - 1)
         monkeypatch.setattr(graph.numerics, "solve_spd", no_solve)
         with pytest.raises(ResourceLimit):
             p.matrix
 
+    def test_wide_apply_checks_four_arrays_before_factoring(self, monkeypatch):
+        # a right-hand side wider than the batch forms P: the system, its
+        # factor, I and P
+        n = 30
+        p = build_propagator(np.random.default_rng(17).normal(size=(n, 2)), GraphConfig())
+        b = np.random.default_rng(18).normal(size=(n, n + 1))
+        expected = p.apply(b)
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("the check must fire before the factorization")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n - 1)
+            patch.setattr(scipy.linalg, "cho_factor", no_factor)
+            with pytest.raises(ResourceLimit, match=r"30 rows needs about 28800 bytes"):
+                p.apply(b)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n)
+        assert p.apply(b).tobytes() == expected.tobytes()
+
     def test_probe_reads_this_machine(self):
-        available = graph.physical_memory()
+        available = numerics.physical_memory()
         assert available is None or available > 0

@@ -40,6 +40,38 @@ class TestCsv:
         assert data.labels == ("cat", "dog")
         assert data.split == (None, "novel")
 
+    def test_line_breaks_inside_quoted_labels_round_trip(self, tmp_path):
+        # csv splits records only at \r and \n outside quotes; U+2028 and U+0085
+        # are ordinary characters to it
+        labels = ("a\r\nb", "c\u2028d", "e\x85f", "g\nh")
+        data = EmbeddingSet(np.arange(4.0)[:, None], labels)
+        path = tmp_path / "breaks.csv"
+        save_embeddings(data, path)
+        back = load_embeddings(path)
+        assert back.labels == labels
+        np.testing.assert_array_equal(back.embeddings, data.embeddings)
+
+    def test_blank_rows_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"id,label,split,f0\r\n\r\n0,a,,1\r\n\r\n1,b,,2\r\n\r\n")
+        data = load_embeddings(path)
+        assert data.labels == ("a", "b") and data.embeddings.tolist() == [[1.0], [2.0]]
+        path.write_bytes(b"id,label,split,f0\r\n\r\n0,a,,1\r\n\r\n1,b,,x\r\n")
+        with pytest.raises(ParseError, match=r"blank\.csv:5: "):
+            load_embeddings(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match=r"none\.csv: empty file"):
+            load_embeddings(path)
+
+    def test_misnamed_feature_column_rejected(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        path.write_text("id,label,split,f0,g1\na,x,,1.0,2.0\n")
+        with pytest.raises(ParseError, match="feature column 1 is named 'g1', expected f1"):
+            load_embeddings(path)
+
     def test_nan_feature_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("id,label,split,f0\na,x,,nan\n")
@@ -239,6 +271,51 @@ class TestBinary:
         path = tmp_path / "top.epb"
         save_embeddings(EmbeddingSet(np.array([[top], [-top]]), ("a", "b")), path)
         assert load_embeddings(path).embeddings.tolist() == [[top], [-top]]
+
+    def test_truncated_header_names_byte_counts(self, tmp_path):
+        path = tmp_path / "short.epb"
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + b"\0\0")
+        with pytest.raises(ParseError, match="truncated reading row count: expected 12 bytes, "
+                                             "file has 10"):
+            load_embeddings(path)
+
+    def test_non_utf8_label_rejected(self, tmp_path):
+        parts = [MAGIC, struct.pack("<IIII", 1, 1, 1, 1)]
+        parts.append(struct.pack("<H", 1) + b"\xff")
+        parts.append(struct.pack("<H", 0) + b"\0" + struct.pack("<f", 1.0))
+        path = tmp_path / "label.epb"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(ParseError, match="label 0 is not valid UTF-8"):
+            load_embeddings(path)
+
+    def test_label_too_long_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "long.epb"
+        with pytest.raises(InvariantViolation, match="label too long for binary format"):
+            save_embeddings(EmbeddingSet(np.zeros((1, 1)), ("x" * 0x10000,)), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (2, 0)], ids=["no-rows", "no-columns"])
+    def test_empty_block_rejected_as_empty_set(self, tmp_path, n, m):
+        # the header arithmetic holds, so the set itself refuses the (n, m) block
+        parts = [MAGIC, struct.pack("<IIII", 1, n, m, 1), struct.pack("<H", 1) + b"x"]
+        parts.append(b"\0\0" * n + b"\0" * n)  # label indices and split codes
+        path = tmp_path / "empty.epb"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(InvariantViolation, match=rf"N, m >= 1, got \({n}, {m}\)"):
+            load_embeddings(path)
+
+    def test_split_codes_index_the_split_tags(self, tmp_path):
+        parts = [MAGIC, struct.pack("<IIII", 1, 4, 1, 1)]
+        parts.append(struct.pack("<H", 1) + b"x")
+        parts.append(b"\0\0" * 4 + bytes([0, 1, 2, 3]) + struct.pack("<4f", 1, 2, 3, 4))
+        path = tmp_path / "codes.epb"
+        path.write_bytes(b"".join(parts))
+        assert load_embeddings(path).split == (None, "base", "val", "novel")
+        blob = bytearray(path.read_bytes())
+        blob[-17] = 4  # the last split code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="unknown split code 4"):
+            load_embeddings(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.epb"

@@ -34,6 +34,12 @@ def test_off_diagonal_only_worked_example():
     np.testing.assert_allclose(ztilde, [[2 / 3, 0.0], [0.0, 0.0]], rtol=0, atol=1e-12)
 
 
+def test_mode_must_be_a_propagation_mode():
+    # the string value of a mode is not the mode
+    with pytest.raises(ValueError, match="unknown propagation mode 'full'"):
+        propagate_embeddings(np.eye(3), GraphConfig(), "full")
+
+
 def test_identity_mode_returns_input_exactly():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(9, 4))

@@ -57,5 +57,8 @@ def test_output_digest_is_repeatable(monkeypatch, capsys):
     digest, counts = first.split("  ", 1)
     assert len(digest) == 64 and int(digest, 16) >= 0
     # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes;
-    # one batch saved as CSV and as EPB1; evaluate and ssl through the CLI
-    assert counts.strip() == "(16 episodes, 16 propagate calls, 2 saved files, 2 cli reports)"
+    # one batch saved as CSV and as EPB1 and loaded back; evaluate and ssl
+    # through the CLI
+    assert counts.strip() == (
+        "(16 episodes, 16 propagate calls, 2 files saved and loaded, 2 cli reports)"
+    )
