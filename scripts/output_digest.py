@@ -10,9 +10,11 @@ hashed by its raw float64 bytes, after a label naming it. Then come the bytes
 `save_embeddings` writes, as CSV and as EPB1, for one propagated batch whose
 labels need CSV quoting and whose rows carry mixed split tags, each followed
 by what `load_embeddings` reads back from that file: its embedding bytes,
-labels and split. Last come the
-JSON reports of one `evaluate` (default flags) and one `ssl` run (every flag
-set), both through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
+labels and split. Then the error type and message `load_embeddings` raises
+on a few fixed malformed CSVs, with the file's path replaced by its name, so
+a reader change that moves a message shows too. Last come the JSON reports
+of one `evaluate` (default flags) and one `ssl` run (every flag set), both
+through `embedprop.cli.main` on a seeded CSV, without `wall_ms`.
 
 The bits depend on the BLAS build, its thread count and the CPU, so the digest
 is not a golden value: run it for both versions on one host with the same
@@ -35,6 +37,7 @@ import numpy as np
 from embedprop import (
     Classifier,
     EmbeddingSet,
+    EmbedPropError,
     EvalConfig,
     GraphConfig,
     PropagationMode,
@@ -64,6 +67,15 @@ SHAPES = (
 # empty string and non-ASCII text
 LABELS = ("comma,label", 'quote"label', "line\r\nbreak", "lf\nonly", " spaced ", "", "ünï 日本")
 TAGS = (None, "base", "val", "novel")
+
+# CSVs that load_embeddings rejects: a bad float after a quoted line break, a
+# duplicate id after a blank row, invalid UTF-8 and a digit separator
+MALFORMED = {
+    "quoted-break.csv": b'id,label,split,f0\r\n0,"a\r\nb",,1\r\n1,c,,x\r\n',
+    "blank-row.csv": b"id,label,split,f0\r\n0,a,,1\r\n\r\n0,b,,2\r\n",
+    "utf8.csv": b"id,label,split,f0\r\n0,a,,1\r\n1,b\xffc,,2\r\n",
+    "separator.csv": b"id,label,split,f0,f1\r\n0,a,,1.0,1_0\r\n",
+}
 
 
 def _update(h, label: str, value) -> None:
@@ -127,6 +139,21 @@ def saved_files(h) -> int:
     return len(names)
 
 
+def rejected_files(h) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in MALFORMED.items():
+            path = Path(tmp) / name
+            path.write_bytes(blob)
+            try:
+                load_embeddings(path)
+            except EmbedPropError as exc:
+                error = f"{type(exc).__name__}: {exc}".replace(str(path), name)
+            else:
+                raise SystemExit(f"{name} loaded without an error")
+            h.update(f"rejected {name}\n{error}\n".encode())
+    return len(MALFORMED)
+
+
 def cli_reports(h, episodes: int) -> int:
     runs = {
         "evaluate": ["--episodes", str(episodes)],
@@ -160,9 +187,10 @@ def main():
     runs = episode_outputs(h, args.episodes)
     batches = propagate_outputs(h, args.max_n)
     files = saved_files(h)
+    rejected = rejected_files(h)
     reports = cli_reports(h, args.episodes)
     print(f"{h.hexdigest()}  ({runs} episodes, {batches} propagate calls, {files} files saved and loaded, "
-          f"{reports} cli reports)")
+          f"{rejected} malformed files rejected, {reports} cli reports)")
 
 
 if __name__ == "__main__":

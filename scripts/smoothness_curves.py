@@ -15,6 +15,7 @@ import numpy as np
 
 from embedprop import (
     EvalConfig,
+    GraphConfig,
     PropagationMode,
     gaussian_clusters,
     interpolation_curve,
@@ -39,6 +40,7 @@ def main():
     data = gaussian_clusters(2, args.per_class, spread=args.spread, seed=args.seed)
     cfg = EvalConfig(
         n_way=2, k_shot=args.k_shot, q_queries=args.q_queries, episodes=1, seed=args.seed,
+        graph=GraphConfig(alpha=args.alpha),
     )
     ep = sample_episode(data, cfg, 0)
     pairs = random_query_pairs(ep, args.pairs, np.random.default_rng([args.seed, 77]))

@@ -7,10 +7,11 @@ as CSV:
 * CSV (UTF-8): header ``id,label,split,f0,...,f{m-1}``, one row per
   embedding, split empty or one of base/val/novel, features written with 17
   significant digits (lossless for float64) and read as float literals
-  without ``_`` digit separators. The writer streams one ``\r\n``-ended line
-  per row: the label and split cells get csv quoting (made once per distinct
-  pair), the features ``%.17g``. Its bytes equal those of passing every cell
-  through ``csv.writer``.
+  without ``_`` digit separators. The reader streams the text through csv
+  into float64 rows; an error names the line its record starts on. The
+  writer streams one ``\r\n``-ended line per row, csv quoting the id, label
+  and split cells; its bytes equal those of passing every cell through
+  ``csv.writer``.
 * Binary: magic ``EPB1``; little-endian u32 format version (=1), u32 N,
   u32 m, u32 label-table-size; label table of u16-length-prefixed UTF-8
   names; N u16 label indices; N u8 split codes (0=none, 1=base, 2=val,
@@ -27,7 +28,7 @@ import csv
 import dataclasses
 import json
 import struct
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -59,17 +60,16 @@ def save_embeddings(data: EmbeddingSet, path) -> None:
 
 
 def _parse_csv(blob: bytes, path) -> EmbeddingSet:
-    # decoded whole, so that a bad byte is reported at its offset in the file;
-    # csv reads that one text
+    # checked whole, so that a bad byte is reported at its offset in the file;
+    # csv then reads the bytes through a streaming decoder
     try:
-        text = blob.decode("utf-8")
+        blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
-    reader = csv.reader(StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: empty file") from None
+    reader = csv.reader(TextIOWrapper(BytesIO(blob), encoding="utf-8", newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
     if len(header) < 4 or header[:3] != ["id", "label", "split"]:
         raise ParseError(f"{path}: header must start with id,label,split and one feature column")
     for col, name in enumerate(header[3:]):
@@ -79,33 +79,34 @@ def _parse_csv(blob: bytes, path) -> EmbeddingSet:
     ids: set[str] = set()
     labels: list[str] = []
     splits: list[str | None] = []
-    rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    rows: list[np.ndarray] = []
+    start = reader.line_num + 1  # a record's first line; quoted line breaks span lines
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):
             raise InvariantViolation(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
             )
-        rid = row[0]
-        if rid in ids:
-            raise InvariantViolation(f"{path}:{lineno}: duplicate id {rid!r}")
-        ids.add(rid)
+        if row[0] in ids:
+            raise InvariantViolation(f"{path}:{lineno}: duplicate id {row[0]!r}")
+        ids.add(row[0])
         labels.append(row[1])
         splits.append(row[2] if row[2] != "" else None)
         features = row[3:]
-        # float() also reads Python's digit separators: "1_0" is 10.0
+        # float(), which np.array calls per cell, also reads digit separators: "1_0" is 10.0
         if "_" in "".join(features):
             bad = next(tok for tok in features if "_" in tok)
             raise ParseError(f"{path}:{lineno}: feature {bad!r} contains '_'")
         try:
-            rows.append([float(tok) for tok in features])
+            rows.append(np.array(features, dtype=np.float64))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise InvariantViolation(f"{path}: no data rows")
     split = None if all(s is None for s in splits) else tuple(splits)
-    return EmbeddingSet(embeddings=np.asarray(rows), labels=tuple(labels), split=split)
+    return EmbeddingSet(embeddings=np.array(rows), labels=tuple(labels), split=split)
 
 
 class _Echo:
@@ -116,20 +117,16 @@ class _Echo:
 
 
 def _save_csv(data: EmbeddingSet, path) -> None:
-    # csv quotes the label and split cells, made once per distinct pair; the id
-    # and the "%.17g" features never need quoting, so each row is formatted
-    # whole and written as it is made
+    # csv writes the id, label and split cells, quoting where needed; the
+    # "%.17g" features never need it, so each row is written as it is made
     cells = csv.writer(_Echo())
-    prefixes: dict[tuple[str, str], str] = {}
-    features = ",".join(["%.17g"] * data.dim) + "\r\n"
+    line = "%s," + ",".join(["%.17g"] * data.dim) + "\r\n"
     tags = data.split if data.split is not None else (None,) * data.n
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(cells.writerow(["id", "label", "split"] + [f"f{i}" for i in range(data.dim)]))
         for i, (label, tag) in enumerate(zip(data.labels, tags)):
-            key = (label, tag or "")
-            if key not in prefixes:
-                prefixes[key] = cells.writerow(key).removesuffix("\r\n")
-            fh.write(f"{i},{prefixes[key]}," + features % tuple(data.embeddings[i].tolist()))
+            head = cells.writerow((i, label, tag or "")).removesuffix("\r\n")
+            fh.write(line % (head, *data.embeddings[i].tolist()))
 
 
 class _Cursor:
@@ -204,20 +201,19 @@ def _save_binary(data: EmbeddingSet, path) -> None:
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise InvariantViolation(f"label too long for binary format: {name[:32]!r}...")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-    parts.append(np.asarray([index[lab] for lab in data.labels], dtype="<u2").tobytes())
+        parts += [struct.pack("<H", len(raw)), raw]
+    parts.append(np.asarray([index[lab] for lab in data.labels], dtype="<u2"))
     tags = data.split if data.split is not None else (None,) * data.n
-    parts.append(np.asarray([_SPLIT_NAMES.index(t) for t in tags], dtype="<u1").tobytes())
+    parts.append(np.asarray([_SPLIT_NAMES.index(t) for t in tags], dtype="<u1"))
     with np.errstate(over="ignore"):
-        block = data.embeddings.astype("<f4")
+        block = data.embeddings.astype("<f4", order="C")  # C order: written from its buffer
     overflow = np.isinf(block).any(axis=1)  # the set's own values are finite
     if overflow.any():
         row = int(np.argmax(overflow))
         raise InvariantViolation(f"row {row} holds a value beyond the binary format's float32 range")
-    parts.append(block.tobytes())
+    parts.append(block)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.writelines(parts)
 
 
 def config_to_dict(cfg: EvalConfig) -> dict:

@@ -88,8 +88,8 @@ def upper_blocks(n: int, depth: int = 1):
 def symmetry_defect(m: np.ndarray) -> float:
     """Largest absolute difference between square `m` and its transpose.
 
-    Works over the upper triangle by row blocks; NaN anywhere gives NaN
-    (np.maximum, unlike max, propagates it).
+    Works over the upper triangle by row blocks. Both callers reject NaN and
+    Inf first; the subtraction would warn on an Inf.
     """
     defect = 0.0
     for start, stop, scratch in upper_blocks(m.shape[0]):
@@ -129,11 +129,13 @@ def solve_spd(m, b) -> np.ndarray:
         )
     if not np.isfinite(b).all():
         raise NonFiniteInput("B contains NaN or Inf entries")
+    # NaN and Inf reach the maximum or the minimum; max |m| is one of them
+    hi, lo = float(m.max()), float(m.min())
+    if not np.isfinite([hi, lo]).all():
+        raise NonFiniteInput("M contains NaN or Inf entries")
+    tol = SYMMETRY_RTOL * max(1.0, abs(hi), abs(lo))
     defect = symmetry_defect(m)
-    # max |m| is |max m| or |min m|, and NaN if m holds one
-    tol = SYMMETRY_RTOL * max(1.0, float(np.abs([m.max(), m.min()]).max()))
-    # `not <=` instead of `>` so NaN defects (non-finite input) are rejected too.
-    if not defect <= tol:
+    if defect > tol:
         raise NotSymmetric(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
     wide = b.ndim == 2 and b.shape[1] > b.shape[0]
     if wide:

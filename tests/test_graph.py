@@ -306,6 +306,11 @@ class TestPropagator:
         with pytest.raises(NotPositiveDefinite):
             p.matrix
 
+    def test_non_finite_laplacian_rejected_on_first_use(self):
+        p = propagator(np.array([[0.0, np.nan], [np.nan, 0.0]]), 0.5)
+        with pytest.raises(NonFiniteInput, match="M contains NaN or Inf"):
+            p.apply(np.ones(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("columns", [None, 1, 3, 4])
     def test_non_finite_rhs_rejected_on_both_paths(self, bad, columns, monkeypatch):

@@ -3,6 +3,7 @@ import csv
 import json
 import struct
 import tracemalloc
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -97,6 +98,36 @@ class TestCsv:
             load_embeddings(path)
         assert ":2:" in str(exc.value)  # line number reported
 
+    @pytest.mark.parametrize("body, line", [
+        # a bad float after a label holding \r\n
+        (b'0,"a\r\nb",,1\r\n1,c,,x\r\n', 4),
+        # the bad record itself spans lines 2-3
+        (b'0,"a\r\nb",,x\r\n', 2),
+        # lone \r and \n inside quotes, then a blank line
+        (b'0,"a\rb\nc",,1\r\r1,c,,x\n', 6),
+        # a duplicate id and a short row name their lines the same way
+        (b'0,"a\nb",,1\n\n0,c,,2\n', 5),
+        (b'0,"a\nb",,1\n1,c,\n', 4),
+    ], ids=["after-crlf", "spanning", "cr-lf-blank", "duplicate-id", "short-row"])
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path, body, line):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(b"id,label,split,f0\r\n" + body)
+        with pytest.raises((ParseError, InvariantViolation), match=rf"lines\.csv:{line}: "):
+            load_embeddings(path)
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # room for the file's bytes, one decode check and the float64 rows; a
+        # second copy of the text or lists of Python floats go past it
+        path = tmp_path / "big.csv"
+        save_embeddings(sample_set(n=2000, m=64), path)
+        tracemalloc.start()
+        try:
+            load_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
+
     def test_invalid_utf8_is_parse_error_at_its_byte(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"id,label,split,f0\n0,a,,1.0\n1,b\xffc,,2.0\n")
@@ -135,6 +166,109 @@ class TestCsv:
         path.write_text("id,label,split,f0\na,x,test,1.0\n")
         with pytest.raises(InvariantViolation):
             load_embeddings(path)
+
+
+def parse_csv_one_decode(blob):
+    """The CSV reader over one decoded text, with float() per cell; the reader's oracle."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8") from None
+    records = csv.reader(StringIO(text, newline=""))
+    header = next(records, None)
+    if header is None or header[:3] != ["id", "label", "split"] or len(header) < 4:
+        raise ParseError("bad header")
+    if header[3:] != [f"f{i}" for i in range(len(header) - 3)]:
+        raise ParseError("bad feature column")
+    ids, labels, splits, rows = set(), [], [], []
+    for row in records:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InvariantViolation("ragged row")
+        if row[0] in ids:
+            raise InvariantViolation("duplicate id")
+        ids.add(row[0])
+        labels.append(row[1])
+        splits.append(row[2] or None)
+        if any("_" in tok for tok in row[3:]):
+            raise ParseError("digit separator")
+        try:
+            rows.append([float(tok) for tok in row[3:]])
+        except ValueError:
+            raise ParseError("not a float") from None
+    if not rows:
+        raise InvariantViolation("no rows")
+    split = None if all(t is None for t in splits) else tuple(splits)
+    return EmbeddingSet(np.array(rows), tuple(labels), split)
+
+
+# what may land in a cell: line breaks csv splits on and characters it does
+# not, whitespace float() strips, a BOM, underscores, non-ASCII digits
+PIECES = ["\r\n", "\r", "\n", "\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\ufeff", ",", '"',
+          " ", "\t", "_", "a", "é", "日"]
+FLOAT_TOKENS = ["0", "-0.0", "1.5", "1e-310", "١٢", "１", " 2 ", "\x0c3\x0b", "4\u2028", "\x855"]
+BAD_FLOAT_TOKENS = ["nan", "-inf", "Infinity", "1e400", "1_0", "", "x", "0x10"]
+
+
+def rarely(draw):
+    """True about one draw in eight."""
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def csv_bytes(draw):
+    m = draw(st.integers(1, 3))
+    text = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+    eol = st.sampled_from(["\r\n", "\n", "\r"])
+    # padding that puts a later line break on the decoder's 8192-byte chunk edge
+    pad = draw(st.sampled_from([0] * 15 + list(range(8180, 8195))))
+    lines = [",".join(["id", "label", "split"] + [f"f{i}" for i in range(m)])]
+    for i in range(draw(st.integers(0, 5))):
+        if rarely(draw):
+            lines.append("")  # a blank row
+        label = ("p" * pad if i == 0 else "") + draw(st.sampled_from(["cat", "", "b_c"]) | text)
+        cells = [draw(st.sampled_from([str(i)] * 6 + ["0", "r_1"])), label,
+                 draw(st.sampled_from(["", "", "base", "val", "novel", "test"]))]
+        good = st.sampled_from(FLOAT_TOKENS) | st.floats(allow_nan=False).map(repr)
+        cells += [draw(st.sampled_from(BAD_FLOAT_TOKENS) if rarely(draw) else good)
+                  for _ in range(m)]
+        if rarely(draw):  # a ragged row
+            cells = cells[: draw(st.integers(1, len(cells)))]
+        # a cell that needs quotes mostly gets them; any other one half the time
+        quoted = [draw(st.booleans()) or (any(ch in c for ch in ',"\r\n') and not rarely(draw))
+                  for c in cells]
+        lines.append(",".join('"' + c.replace('"', '""') + '"' if q else c
+                              for c, q in zip(cells, quoted)))
+    out = "".join(line + draw(eol) for line in lines)
+    if draw(st.booleans()):  # cut the last line break, or half of a \r\n
+        out = out[: -1]
+    blob = (b"\xef\xbb\xbf" if rarely(draw) else b"") + out.encode("utf-8")
+    if rarely(draw):  # an invalid UTF-8 byte somewhere
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + blob[at:]
+    return blob
+
+
+class TestCsvReader:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=csv_bytes())
+    # a \r\n split across the decoder's first chunk edge, inside and outside quotes
+    @example(blob=b"id,label,split,f0\r\n0," + b"p" * 8167 + b",,1\r\n1,b,,x\r\n")
+    @example(blob=b'id,label,split,f0\r\n0,"' + b"p" * 8169 + b'\r\n",,1\r\n')
+    def test_matches_one_decode_reference(self, tmp_path, blob):
+        path = tmp_path / "gen.csv"
+        path.write_bytes(blob)
+        try:
+            want = parse_csv_one_decode(blob)
+        except Exception as exc:  # the reader must raise the same type
+            with pytest.raises(type(exc)):
+                load_embeddings(path)
+            return
+        got = load_embeddings(path)
+        assert got.embeddings.shape == want.embeddings.shape
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        assert (got.labels, got.split) == (want.labels, want.split)
 
 
 def save_csv_cell_by_cell(data, path):
@@ -222,6 +356,28 @@ class TestBinary:
         path = tmp_path / "nosplit.epb"
         save_embeddings(data, path)
         assert load_embeddings(path).split is None
+
+    def test_save_holds_the_block_once(self, tmp_path):
+        # room for the f32 block and the overflow mask; a bytes copy of the
+        # block or a join of the parts goes past it
+        data = sample_set(n=2000, m=640)
+        tracemalloc.start()
+        try:
+            save_embeddings(data, tmp_path / "big.epb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data.n * data.dim * 4
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
+                             ids=["fortran", "strided"])
+    def test_any_memory_layout_saves_row_major_bytes(self, tmp_path, layout):
+        data = sample_set(n=6, m=4)
+        other = EmbeddingSet(layout(data.embeddings), data.labels, data.split)
+        assert not other.embeddings.flags.c_contiguous
+        save_embeddings(data, tmp_path / "c.epb")
+        save_embeddings(other, tmp_path / "other.epb")
+        assert (tmp_path / "other.epb").read_bytes() == (tmp_path / "c.epb").read_bytes()
 
     def test_truncated_block_names_byte_counts(self, tmp_path):
         data = sample_set()

@@ -132,6 +132,18 @@ def test_rejects_non_finite_rhs(bad, shape):
         solve_spd(np.eye(2), b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cells", [[(0, 1), (1, 0)], [(1, 1)]], ids=["off-diagonal", "diagonal"])
+def test_rejects_non_finite_m(bad, cells):
+    # M stays symmetric, so the error must name the non-finite entry, not an
+    # asymmetry; an Inf would also make the symmetry subtraction warn
+    m = 2.0 * np.eye(2)
+    for cell in cells:
+        m[cell] = bad
+    with pytest.raises(NonFiniteInput, match="M contains NaN or Inf"):
+        solve_spd(m, np.ones(2))
+
+
 def test_as_matrix_rejects_nan_and_bad_shape():
     with pytest.raises(NonFiniteInput):
         as_matrix(np.array([[1.0, np.nan]]))

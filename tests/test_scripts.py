@@ -40,12 +40,16 @@ def test_two_moons_demo(tmp_path, monkeypatch, capsys):
 
 def test_smoothness_curves(tmp_path, monkeypatch, capsys):
     out_csv = tmp_path / "curves.csv"
-    run_script("smoothness_curves", ["--pairs", "2", "--grid", "3", "--out", str(out_csv)],
-               monkeypatch)
+    args = ["--pairs", "2", "--grid", "3"]
+    run_script("smoothness_curves", [*args, "--out", str(out_csv)], monkeypatch)
     out = capsys.readouterr().out
     assert "mode full" in out and "mode identity" in out
     # header + 2 modes x 2 pairs x 3 grid points
     assert len(out_csv.read_text().splitlines()) == 1 + 2 * 2 * 3
+    # --alpha reaches the graph: the full-mode curves move
+    other = tmp_path / "alpha.csv"
+    run_script("smoothness_curves", [*args, "--alpha", "0.9", "--out", str(other)], monkeypatch)
+    assert other.read_bytes() != out_csv.read_bytes()
 
 
 def test_output_digest_is_repeatable(monkeypatch, capsys):
@@ -57,8 +61,9 @@ def test_output_digest_is_repeatable(monkeypatch, capsys):
     digest, counts = first.split("  ", 1)
     assert len(digest) == 64 and int(digest, 16) >= 0
     # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes;
-    # one batch saved as CSV and as EPB1 and loaded back; evaluate and ssl
-    # through the CLI
+    # one batch saved as CSV and as EPB1 and loaded back; four malformed CSVs;
+    # evaluate and ssl through the CLI
     assert counts.strip() == (
-        "(16 episodes, 16 propagate calls, 2 files saved and loaded, 2 cli reports)"
+        "(16 episodes, 16 propagate calls, 2 files saved and loaded, "
+        "4 malformed files rejected, 2 cli reports)"
     )
