@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -68,13 +69,32 @@ SHAPES = (
 LABELS = ("comma,label", 'quote"label', "line\r\nbreak", "lf\nonly", " spaced ", "", "ünï 日本")
 TAGS = (None, "base", "val", "novel")
 
-# CSVs that load_embeddings rejects: a bad float after a quoted line break, a
-# duplicate id after a blank row, invalid UTF-8 and a digit separator
+
+def epb1(table, indices, codes, m=1):
+    """EPB1 bytes: label `table`, a label index and split code per row, every value 0.5."""
+    parts = [b"EPB1", struct.pack("<IIII", 1, len(indices), m, len(table))]
+    parts += [struct.pack("<H", len(name)) + name for name in table]
+    parts += [struct.pack(f"<{len(indices)}H", *indices), bytes(codes)]
+    parts.append(struct.pack(f"<{len(indices) * m}f", *[0.5] * (len(indices) * m)))
+    return b"".join(parts)
+
+
+# files that load_embeddings rejects. CSVs: a bad float after a quoted line
+# break, a duplicate id after a blank row, invalid UTF-8 and a digit
+# separator. EPB1: truncated at the row count and inside the label table, one
+# byte short of its declared size, a label index past the table, an unknown
+# split code and a label that is not UTF-8
 MALFORMED = {
     "quoted-break.csv": b'id,label,split,f0\r\n0,"a\r\nb",,1\r\n1,c,,x\r\n',
     "blank-row.csv": b"id,label,split,f0\r\n0,a,,1\r\n\r\n0,b,,2\r\n",
     "utf8.csv": b"id,label,split,f0\r\n0,a,,1\r\n1,b\xffc,,2\r\n",
     "separator.csv": b"id,label,split,f0,f1\r\n0,a,,1.0,1_0\r\n",
+    "row-count.epb": epb1([b"a"], [0], [0])[:10],
+    "label-table.epb": epb1([b"a", "ünï".encode()], [0, 1], [0, 1])[:27],
+    "short.epb": epb1([b"a", b"b"], [0, 1, 1], [1, 2, 3], m=2)[:-1],
+    "label-index.epb": epb1([b"a", b"b"], [0, 2], [0, 0]),
+    "split-code.epb": epb1([b"a"], [0, 0], [3, 4]),
+    "label-utf8.epb": epb1([b"a", b"b\xffc"], [0, 1], [0, 0]),
 }
 
 

@@ -104,13 +104,15 @@ def pairwise_sq_distances(z) -> np.ndarray:
     z = numerics.as_matrix(z, "Z")
     n, m = z.shape
     d2 = np.empty((n, n), dtype=np.float64)
-    # a 100 x 100 x 8 batch fits one block
-    for start, stop, scratch in numerics.upper_blocks(n, m):
-        diff = scratch.reshape(stop - start, n - start, m)
-        np.copyto(diff, z[start:stop, None, :])
-        np.subtract(diff, z[None, start:, :], out=diff)
-        np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:stop, start:])
-        d2[stop:, start:stop] = d2[start:stop, stop:].T
+    # a 100 x 100 x 8 batch fits one block; a difference beyond the float64
+    # maximum is Inf, which `adjacency` rejects, so it need not warn here
+    with np.errstate(over="ignore"):
+        for start, stop, scratch in numerics.upper_blocks(n, m):
+            diff = scratch.reshape(stop - start, n - start, m)
+            np.copyto(diff, z[start:stop, None, :])
+            np.subtract(diff, z[None, start:, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:stop, start:])
+            d2[stop:, start:stop] = d2[start:stop, stop:].T
     return d2
 
 

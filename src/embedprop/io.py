@@ -16,8 +16,10 @@ as CSV:
   u32 m, u32 label-table-size; label table of u16-length-prefixed UTF-8
   names; N u16 label indices; N u8 split codes (0=none, 1=base, 2=val,
   3=novel); N*m f32 row-major embedding block. The file length must match
-  the header arithmetic exactly. The writer rejects a set with a value
-  beyond the f32 range before it creates the file.
+  the header arithmetic exactly. The reader views the index, code and f32
+  blocks in the file's bytes by offset, so the float64 embeddings are the
+  one copy of the values. The writer rejects a set with a value beyond the
+  f32 range before it creates the file.
 
 Decoding failures raise ParseError (with a position); decodable files whose
 content breaks an EmbeddingSet invariant raise InvariantViolation. Plain
@@ -129,56 +131,43 @@ def _save_csv(data: EmbeddingSet, path) -> None:
             fh.write(line % (head, *data.embeddings[i].tolist()))
 
 
-class _Cursor:
-    """Byte cursor that reports expected vs available length on truncation."""
-
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.blob):
-            raise ParseError(
-                f"{self.path}: truncated reading {what}: expected {self.pos + count} "
-                f"bytes, file has {len(self.blob)}"
-            )
-        out = self.blob[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-
 def _parse_binary(blob: bytes, path) -> EmbeddingSet:
-    cur = _Cursor(blob, path)
-    cur.take(len(MAGIC), "magic")  # load_embeddings routed on it
-    version = cur.u32("format version")
+    pos = len(MAGIC)  # load_embeddings routed on it
+
+    def unpack(fmt: str, what: str):
+        nonlocal pos
+        end = pos + struct.calcsize(fmt)
+        if end > len(blob):
+            raise ParseError(
+                f"{path}: truncated reading {what}: expected {end} bytes, file has {len(blob)}"
+            )
+        fields = struct.unpack_from(fmt, blob, pos)
+        pos = end
+        return fields[0]
+
+    version = unpack("<I", "format version")
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
-    n = cur.u32("row count")
-    m = cur.u32("dimension")
-    table_size = cur.u32("label table size")
+    n = unpack("<I", "row count")
+    m = unpack("<I", "dimension")
+    table_size = unpack("<I", "label table size")
 
     table: list[str] = []
     for t in range(table_size):
-        (length,) = struct.unpack("<H", cur.take(2, f"label {t} length"))
-        raw = cur.take(length, f"label {t}")
+        length = unpack("<H", f"label {t} length")
+        raw = unpack(f"<{length}s", f"label {t}")
         try:
             table.append(raw.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: label {t} is not valid UTF-8: {exc}") from None
 
-    body = n * 2 + n + n * m * 4
-    if len(blob) != cur.pos + body:
-        raise ParseError(
-            f"{path}: declared sizes need exactly {cur.pos + body} bytes, "
-            f"file has {len(blob)}"
-        )
-    idx = np.frombuffer(cur.take(n * 2, "label indices"), dtype="<u2")
-    codes = np.frombuffer(cur.take(n, "split codes"), dtype="<u1")
-    values = np.frombuffer(cur.take(n * m * 4, "embedding block"), dtype="<f4")
+    size = pos + n * 2 + n + n * m * 4
+    if len(blob) != size:
+        raise ParseError(f"{path}: declared sizes need exactly {size} bytes, file has {len(blob)}")
+    # views of the file's bytes; the float64 embeddings are the one copy
+    idx = np.frombuffer(blob, dtype="<u2", count=n, offset=pos)
+    codes = np.frombuffer(blob, dtype="<u1", count=n, offset=pos + 2 * n)
+    values = np.frombuffer(blob, dtype="<f4", count=n * m, offset=pos + 3 * n)
 
     if idx.size and idx.max() >= table_size:
         raise ParseError(f"{path}: label index {int(idx.max())} >= table size {table_size}")

@@ -89,13 +89,16 @@ def symmetry_defect(m: np.ndarray) -> float:
     """Largest absolute difference between square `m` and its transpose.
 
     Works over the upper triangle by row blocks. Both callers reject NaN and
-    Inf first; the subtraction would warn on an Inf.
+    Inf first. Finite mirrored entries can still differ by more than the
+    float64 maximum; their difference overflows to Inf without a warning,
+    and an Inf defect fails every tolerance.
     """
     defect = 0.0
-    for start, stop, scratch in upper_blocks(m.shape[0]):
-        diff = scratch.reshape(stop - start, -1)
-        np.subtract(m[start:stop, start:], m[start:, start:stop].T, out=diff)
-        defect = np.maximum(defect, np.abs(diff, out=diff).max())
+    with np.errstate(over="ignore"):
+        for start, stop, scratch in upper_blocks(m.shape[0]):
+            diff = scratch.reshape(stop - start, -1)
+            np.subtract(m[start:stop, start:], m[start:, start:stop].T, out=diff)
+            defect = np.maximum(defect, np.abs(diff, out=diff).max())
     return float(defect)
 
 

@@ -157,6 +157,11 @@ class TestAdjacency:
         with pytest.raises(InvalidDistanceMatrix, match=message):
             adjacency(bad, GraphConfig())
 
+    def test_overflowing_asymmetry_rejected(self):
+        # finite, but the mirrored entries differ by more than the float64 maximum
+        with pytest.raises(InvalidDistanceMatrix, match="D2 is not symmetric"):
+            adjacency(np.array([[0.0, 1e308], [-1e308, 0.0]]), GraphConfig())
+
     def test_symmetry_tolerance_scales_with_the_largest_entry(self):
         # the defect may reach SYMMETRY_RTOL * (1 + max |d2|) and no further
         big = 1e6

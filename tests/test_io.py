@@ -369,6 +369,19 @@ class TestBinary:
             tracemalloc.stop()
         assert peak <= 1.5 * data.n * data.dim * 4
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        # room for the file's bytes, the float64 embeddings and the set's
+        # finiteness mask; a bytes copy of the f32 block goes past it
+        data = sample_set(n=2000, m=640)
+        save_embeddings(data, tmp_path / "big.epb")
+        tracemalloc.start()
+        try:
+            load_embeddings(tmp_path / "big.epb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * data.n * data.dim * 4
+
     @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
                              ids=["fortran", "strided"])
     def test_any_memory_layout_saves_row_major_bytes(self, tmp_path, layout):
@@ -518,6 +531,149 @@ class TestBinary:
         path.write_bytes(b"".join(parts))
         with pytest.raises(InvariantViolation):
             load_embeddings(path)
+
+
+class _Cursor:
+    """Byte cursor that reports expected vs available length on truncation."""
+
+    def __init__(self, blob: bytes, path):
+        self.blob = blob
+        self.path = path
+        self.pos = 0
+
+    def take(self, count: int, what: str) -> bytes:
+        if self.pos + count > len(self.blob):
+            raise ParseError(
+                f"{self.path}: truncated reading {what}: expected {self.pos + count} "
+                f"bytes, file has {len(self.blob)}"
+            )
+        out = self.blob[self.pos : self.pos + count]
+        self.pos += count
+        return out
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+
+def parse_binary_by_cursor(blob, path):
+    """The EPB1 reader that sliced each block out of the file's bytes; the reader's oracle."""
+    cur = _Cursor(blob, path)
+    cur.take(len(MAGIC), "magic")
+    version = cur.u32("format version")
+    if version != io.BINARY_VERSION:
+        raise ParseError(f"{path}: unsupported format version {version}")
+    n = cur.u32("row count")
+    m = cur.u32("dimension")
+    table_size = cur.u32("label table size")
+
+    table: list[str] = []
+    for t in range(table_size):
+        (length,) = struct.unpack("<H", cur.take(2, f"label {t} length"))
+        raw = cur.take(length, f"label {t}")
+        try:
+            table.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: label {t} is not valid UTF-8: {exc}") from None
+
+    body = n * 2 + n + n * m * 4
+    if len(blob) != cur.pos + body:
+        raise ParseError(
+            f"{path}: declared sizes need exactly {cur.pos + body} bytes, "
+            f"file has {len(blob)}"
+        )
+    idx = np.frombuffer(cur.take(n * 2, "label indices"), dtype="<u2")
+    codes = np.frombuffer(cur.take(n, "split codes"), dtype="<u1")
+    values = np.frombuffer(cur.take(n * m * 4, "embedding block"), dtype="<f4")
+
+    if idx.size and idx.max() >= table_size:
+        raise ParseError(f"{path}: label index {int(idx.max())} >= table size {table_size}")
+    if codes.size and codes.max() >= len(io._SPLIT_NAMES):
+        raise ParseError(f"{path}: unknown split code {int(codes.max())}")
+    labels = tuple(table[i] for i in idx)
+    splits = tuple(io._SPLIT_NAMES[int(c)] for c in codes)
+    split = None if all(s is None for s in splits) else splits
+    emb = values.astype(np.float64).reshape(n, m)
+    return EmbeddingSet(embeddings=emb, labels=labels, split=split)
+
+
+# label table entries: empty, non-ASCII, repeated, and a surrogate that is not UTF-8
+TABLE_LABELS = [b"", b"a", b"a", "ünï 日本".encode(), b"b,c", b"\xed\xa0\x80"]
+F32_VALUES = [0.0, -0.0, 1.5, -3.25, 1e-45, 3.4028235e38, float("inf"), float("nan")]
+
+
+@st.composite
+def epb1_parts(draw):
+    """An EPB1 file as (region, bytes) parts, mostly valid: a bad entry now and then."""
+    n = draw(st.integers(0 if rarely(draw) else 1, 4))
+    m = draw(st.integers(0 if rarely(draw) else 1, 3))
+    name = st.sampled_from(TABLE_LABELS if rarely(draw) else TABLE_LABELS[:-1])
+    names = draw(st.lists(name, min_size=0 if rarely(draw) else 1, max_size=4))
+    table = len(names) + (draw(st.integers(1, 3)) if rarely(draw) else 0)
+    index = st.integers(0, max(len(names) - 1, 0)) if not rarely(draw) else st.integers(0, 9)
+    code = st.integers(0, 3) if not rarely(draw) else st.integers(0, 255)
+    value = st.sampled_from(F32_VALUES) if rarely(draw) else (
+        st.sampled_from(F32_VALUES[:-2]) | st.floats(width=32, allow_nan=False, allow_infinity=False))
+    parts = [("magic", MAGIC), ("version", struct.pack("<I", 1)),
+             ("sizes", struct.pack("<III", n, m, table))]
+    for name in names:
+        parts += [("label length", struct.pack("<H", len(name))), ("label", name)]
+    parts.append(("indices", np.array([draw(index) for _ in range(n)], dtype="<u2").tobytes()))
+    parts.append(("codes", bytes(draw(code) for _ in range(n))))
+    parts.append(("block", np.array([draw(value) for _ in range(n * m)], dtype="<f4").tobytes()))
+    return parts
+
+
+@st.composite
+def epb1_bytes(draw):
+    """Valid small files, truncated, byte-flipped or with trailing bytes."""
+    parts = draw(epb1_parts())
+    blob = b"".join(p for _, p in parts)
+    change = draw(st.sampled_from(["none", "truncate", "flip", "flip", "trailing"]))
+    if change == "truncate":
+        blob = blob[: draw(st.integers(len(MAGIC), len(blob)))]
+    elif change == "flip":
+        # the version, a size field, a label length or its bytes, an index or a code
+        regions, start = [], 0
+        for region, part in parts:
+            if region not in ("magic", "block") and part:
+                regions.append((start, start + len(part)))
+            start += len(part)
+        lo, hi = draw(st.sampled_from(regions))
+        at = draw(st.integers(lo, hi - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    elif change == "trailing":
+        blob += draw(st.binary(min_size=1, max_size=5))
+    return blob
+
+
+def assert_loads_like_cursor_reader(path, blob):
+    path.write_bytes(blob)
+    try:
+        want = parse_binary_by_cursor(blob, path)
+    except Exception as exc:  # the reader must raise the same type and message
+        with pytest.raises(type(exc)) as got:
+            load_embeddings(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_embeddings(path)
+    assert got.embeddings.shape == want.embeddings.shape
+    assert got.embeddings.tobytes() == want.embeddings.tobytes()
+    assert (got.labels, got.split) == (want.labels, want.split)
+
+
+class TestBinaryReader:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=epb1_bytes())
+    def test_matches_cursor_reference(self, tmp_path, blob):
+        assert_loads_like_cursor_reader(tmp_path / "gen.epb", blob)
+
+    def test_every_truncation_matches_cursor_reference(self, tmp_path):
+        data = EmbeddingSet(np.arange(6.0).reshape(3, 2), ("", "ünï", ""),
+                            (None, "val", "novel"))
+        save_embeddings(data, tmp_path / "full.epb")
+        blob = (tmp_path / "full.epb").read_bytes()
+        for cut in range(len(MAGIC), len(blob) + 1):
+            assert_loads_like_cursor_reader(tmp_path / "cut.epb", blob[:cut])
 
 
 class TestAutoFormat:

@@ -144,6 +144,13 @@ def test_rejects_non_finite_m(bad, cells):
         solve_spd(m, np.ones(2))
 
 
+def test_overflowing_asymmetry_is_not_symmetric():
+    # finite mirrored entries 2e308 apart: their difference overflows to Inf,
+    # which must fail the tolerance without an overflow warning
+    with pytest.raises(NotSymmetric, match="asymmetry inf exceeds"):
+        solve_spd([[1e308, -1e308], [1e308, 1.0]], np.ones(2))
+
+
 def test_as_matrix_rejects_nan_and_bad_shape():
     with pytest.raises(NonFiniteInput):
         as_matrix(np.array([[1.0, np.nan]]))

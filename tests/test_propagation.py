@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embedprop.diagnostics import compactness_metrics, gaussian_clusters
+from embedprop.errors import InvalidDistanceMatrix
 from embedprop.graph import GraphConfig
 from embedprop.numerics import BLOCK_ELEMENTS
 from embedprop.propagation import PropagationMode, propagate_embeddings
@@ -38,6 +39,13 @@ def test_mode_must_be_a_propagation_mode():
     # the string value of a mode is not the mode
     with pytest.raises(ValueError, match="unknown propagation mode 'full'"):
         propagate_embeddings(np.eye(3), GraphConfig(), "full")
+
+
+def test_overflowing_difference_is_invalid_distance():
+    # Z is finite, but rows 0 and 1 differ by 2e308, beyond the float64 maximum
+    z = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidDistanceMatrix, match="D2 contains NaN or Inf"):
+        propagate_embeddings(z, GraphConfig())
 
 
 def test_identity_mode_returns_input_exactly():

@@ -61,9 +61,14 @@ def test_output_digest_is_repeatable(monkeypatch, capsys):
     digest, counts = first.split("  ", 1)
     assert len(digest) == 64 and int(digest, 16) >= 0
     # 2 classifiers x 2 SSL modes x 4 propagation modes; 4 shapes x 4 modes;
-    # one batch saved as CSV and as EPB1 and loaded back; four malformed CSVs;
-    # evaluate and ssl through the CLI
+    # one batch saved as CSV and as EPB1 and loaded back; four malformed CSVs
+    # and six malformed EPB1 files; evaluate and ssl through the CLI
     assert counts.strip() == (
         "(16 episodes, 16 propagate calls, 2 files saved and loaded, "
-        "4 malformed files rejected, 2 cli reports)"
+        "10 malformed files rejected, 2 cli reports)"
     )
+
+
+def test_mutants_kills_alpha_negated(monkeypatch, capsys):
+    run_script("mutants", ["alpha-negated"], monkeypatch)
+    assert capsys.readouterr().out.startswith("alpha-negated: killed (")
