@@ -66,6 +66,12 @@ MUTANTS = {
           'dtype="<f4", count=n * m, offset=pos + 2 * n')],
         ["tests/test_io.py"],
     ),
+    # a tagged file's base classes are sampled too, as before the split rule
+    "cli-ignores-split-tags": (
+        [("src/embedprop/cli.py",
+          'return data if data.split is None else data.filter_split("novel")', "return data")],
+        ["tests/test_cli.py"],
+    ),
 }
 
 

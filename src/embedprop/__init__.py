@@ -4,7 +4,6 @@ few-shot classification over precomputed embedding vectors."""
 from .classify import (
     build_label_matrix,
     label_propagation_scores,
-    lp_cross_entropy,
     predict,
     prototypical_scores,
     softmax_probs,

@@ -74,21 +74,6 @@ def softmax_probs(scores) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def lp_cross_entropy(probs, true_labels) -> float:
-    """Mean negative log probability of the true class, one row per node."""
-    p = numerics.as_matrix(probs, "probs")
-    labels = np.asarray(true_labels, dtype=np.intp)
-    if labels.ndim != 1 or labels.shape[0] != p.shape[0]:
-        raise DimensionMismatch(
-            f"need one label per row, got {labels.shape} for {p.shape[0]} rows"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= p.shape[1]):
-        raise LabelOutOfRange(f"label index outside [0, {p.shape[1]})")
-    picked = p[np.arange(p.shape[0]), labels]
-    with np.errstate(divide="ignore"):
-        return float(np.mean(-np.log(picked)))
-
-
 def prototypical_scores(support_z, support_labels, query_z, n_classes: int | None = None) -> np.ndarray:
     """Negative squared Euclidean distance to per-class support means.
 

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: evaluate, ssl, propagate, moons, interp. Exit codes: 0 success,
-1 usage/configuration error, 2 data, parse or resource error.
+1 usage/configuration error, 2 data, parse or resource error. evaluate, ssl
+and interp sample only the novel rows of a file with split tags (exit 2 when
+it has none); propagate keeps every row.
 """
 
 import argparse
@@ -39,7 +41,8 @@ def _enum_flag(kind, default) -> dict:
 # Every flag, declared once under its dest. A flag that sets an EvalConfig or
 # GraphConfig field takes that field's default.
 _FLAGS = {
-    "data": dict(required=True, help="embedding file (csv or binary)"),
+    "data": dict(required=True, help="embedding file (csv or binary); evaluate, ssl and interp "
+                 "read only the novel rows of a file with split tags, propagate every row"),
     "n_way": dict(type=int, default=_DEFAULT.n_way),
     "k_shot": dict(type=int, default=_DEFAULT.k_shot),
     "q_queries": dict(type=int, default=_DEFAULT.q_queries),
@@ -99,8 +102,14 @@ def _eval_config(args) -> EvalConfig:
     )
 
 
+def _episode_set(path) -> EmbeddingSet:
+    """The rows evaluate, ssl and interp sample: a tagged set's novel rows, else every row."""
+    data = io.load_embeddings(path)
+    return data if data.split is None else data.filter_split("novel")
+
+
 def _cmd_evaluate(args) -> None:
-    report = evaluate(io.load_embeddings(args.data), _eval_config(args))
+    report = evaluate(_episode_set(args.data), _eval_config(args))
     io.write_report(report, args.out)
     print(
         f"mean accuracy {report.mean:.4f} (ci95 {report.ci95:.4f}, "
@@ -122,7 +131,7 @@ def _cmd_moons(args) -> None:
 
 
 def _cmd_interp(args) -> None:
-    data = io.load_embeddings(args.data)
+    data = _episode_set(args.data)
     cfg = _eval_config(args)
     ep = sample_episode(data, cfg, 0)
     rng = np.random.default_rng([args.seed, _PAIR_STREAM])

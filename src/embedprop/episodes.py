@@ -221,13 +221,14 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-episode accuracies with their mean and 95% CI half-width."""
+    """Per-episode accuracies, their mean and 95% CI half-width, and the set's sorted split tags."""
 
     accuracies: tuple[float, ...]
     mean: float
     ci95: float
     config: EvalConfig
     wall_ms: int
+    split: tuple[str, ...] | None
 
 
 def labeled_count(labeled_fraction: float, k_shot: int) -> int:
@@ -433,4 +434,5 @@ def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
         ci95=confidence_interval95(accuracies),
         config=cfg,
         wall_ms=wall_ms,
+        split=None if data.split is None else tuple(sorted(set(data.split) - {None})),
     )

@@ -21,6 +21,9 @@ as CSV:
   one copy of the values. The writer rejects a set with a value beyond the
   f32 range before it creates the file.
 
+Both formats tag rows with a split; the CLI evaluates a tagged set's novel
+rows. A report's `split` lists the set's sorted distinct tags, null if none.
+
 Decoding failures raise ParseError (with a position); decodable files whose
 content breaks an EmbeddingSet invariant raise InvariantViolation. Plain
 OSError propagates for unreadable/unwritable paths.
@@ -227,6 +230,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "mean": report.mean,
         "ci95": report.ci95,
         "wall_ms": report.wall_ms,
+        "split": None if report.split is None else list(report.split),
     }
 
 

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from embedprop.classify import (
     build_label_matrix,
     label_propagation_scores,
-    lp_cross_entropy,
     predict,
     prototypical_scores,
     softmax_probs,
@@ -128,29 +127,6 @@ class TestSoftmax:
         p = softmax_probs(rng.normal(scale=8, size=(20, 6)))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert (p > 0).all() and (p < 1).all()
-
-
-class TestCrossEntropy:
-    def test_perfect_prediction(self):
-        assert lp_cross_entropy([[1.0, 0.0]], [0]) == 0.0
-
-    def test_half_probability(self):
-        assert lp_cross_entropy([[0.5, 0.5]], [0]) == pytest.approx(math.log(2.0))
-
-    def test_two_queries_closed_form(self):
-        probs = [[0.5, 0.5], [0.25, 0.75]]
-        expected = (math.log(2.0) + math.log(4.0)) / 2.0
-        assert lp_cross_entropy(probs, [0, 0]) == pytest.approx(expected)
-        assert expected == pytest.approx(1.0397, abs=1e-4)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
-            lp_cross_entropy([[0.5, 0.5]], [2])
-
-    @pytest.mark.parametrize("labels", [[0, 1], [[0]]])
-    def test_needs_one_label_per_row(self, labels):
-        with pytest.raises(DimensionMismatch, match="need one label per row"):
-            lp_cross_entropy([[0.5, 0.5]], labels)
 
 
 class TestPrototypicalScores:

@@ -7,9 +7,9 @@ import pytest
 from embedprop import cli, numerics
 from embedprop.cli import main
 from embedprop.diagnostics import gaussian_clusters
-from embedprop.episodes import Classifier, EvalConfig, SslMode
+from embedprop.episodes import Classifier, EmbeddingSet, EvalConfig, SslMode, evaluate
 from embedprop.graph import GraphConfig
-from embedprop.io import load_embeddings, save_embeddings
+from embedprop.io import load_embeddings, report_to_dict, save_embeddings
 from embedprop.propagation import PropagationMode
 
 
@@ -19,6 +19,28 @@ def cluster_file(tmp_path):
     path = tmp_path / "clusters.csv"
     save_embeddings(data, path)
     return path
+
+
+@pytest.fixture(params=[".csv", ".epb"])
+def tagged_file(request, tmp_path):
+    """Five base classes, then three novel ones, in either file format."""
+    data = gaussian_clusters(8, 30, spread=0.6, seed=2)
+    novel = set(data.classes[5:])
+    split = tuple("novel" if label in novel else "base" for label in data.labels)
+    path = tmp_path / f"tagged{request.param}"
+    save_embeddings(EmbeddingSet(data.embeddings, data.labels, split), path)
+    return path
+
+
+_EPISODE_RUNS = {
+    "evaluate": (["--n-way", "3", "--k-shot", "1", "--q-queries", "5", "--episodes", "8",
+                  "--seed", "4"],
+                 EvalConfig(n_way=3, k_shot=1, q_queries=5, episodes=8, seed=4)),
+    "ssl": (["--n-way", "3", "--k-shot", "1", "--q-queries", "5", "--episodes", "8",
+             "--seed", "4", "--unlabeled", "6"],
+            EvalConfig(n_way=3, k_shot=1, q_queries=5, episodes=8, seed=4, u_unlabeled=6,
+                       ssl=SslMode.PSEUDO_LABEL)),
+}
 
 
 def test_moons_then_evaluate(tmp_path, capsys):
@@ -213,3 +235,59 @@ def test_subcommand_builds_eval_config(cluster_file, tmp_path, monkeypatch, argv
         main([*argv, "--data", str(cluster_file), "--out", str(out)])
     assert captured.value.args[0] == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ssl"])
+def test_tagged_file_is_evaluated_on_its_novel_rows(tagged_file, tmp_path, command):
+    flags, cfg = _EPISODE_RUNS[command]
+    out = tmp_path / "report.json"
+    assert main([command, "--data", str(tagged_file), *flags, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    expected = evaluate(load_embeddings(tagged_file).filter_split("novel"), cfg)
+    assert report["accuracies"] == list(expected.accuracies)
+    assert report["split"] == ["novel"]
+
+
+def test_untagged_file_report_gains_a_null_split(cluster_file, tmp_path):
+    flags, cfg = _EPISODE_RUNS["evaluate"]
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--data", str(cluster_file), *flags, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    expected = json.loads(json.dumps(report_to_dict(evaluate(load_embeddings(cluster_file), cfg))))
+    assert list(report) == [
+        "config", "seed", "episodes", "accuracies", "mean", "ci95", "wall_ms", "split",
+    ]
+    del report["wall_ms"], expected["wall_ms"]
+    assert report == expected and report["split"] is None
+
+
+def test_interp_reads_the_novel_rows_of_a_tagged_file(tagged_file, tmp_path):
+    novel_only = tmp_path / f"novel{tagged_file.suffix}"
+    save_embeddings(load_embeddings(tagged_file).filter_split("novel"), novel_only)
+    curves = []
+    for path in (tagged_file, novel_only):
+        out = tmp_path / f"curves-{path.stem}.csv"
+        rc = main(["interp", "--data", str(path), "--n-way", "3", "--k-shot", "2",
+                   "--pairs", "3", "--grid", "4", "--seed", "9", "--out", str(out)])
+        assert rc == 0
+        curves.append(out.read_bytes())
+    assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ssl", "interp"])
+def test_tagged_file_without_novel_rows_exits_2(tmp_path, capsys, command):
+    data = gaussian_clusters(5, 30, spread=0.3, seed=2)
+    path = tmp_path / "base.csv"
+    save_embeddings(EmbeddingSet(data.embeddings, data.labels, ("base",) * data.n), path)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(path), "--out", str(out)]) == 2
+    assert "no rows with split 'novel'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_propagate_keeps_every_row_of_a_tagged_file(tagged_file, tmp_path):
+    out = tmp_path / f"out{tagged_file.suffix}"
+    assert main(["propagate", "--data", str(tagged_file), "--out", str(out)]) == 0
+    before, after = load_embeddings(tagged_file), load_embeddings(out)
+    assert after.labels == before.labels and after.split == before.split
+    assert after.n == 240 and set(after.split) == {"base", "novel"}

@@ -733,9 +733,9 @@ class TestReport:
         report = evaluate(data, cfg)
         d = report_to_dict(report)
         assert list(d.keys()) == [
-            "config", "seed", "episodes", "accuracies", "mean", "ci95", "wall_ms",
+            "config", "seed", "episodes", "accuracies", "mean", "ci95", "wall_ms", "split",
         ]
-        assert d["episodes"] == 3 and d["seed"] == 5
+        assert d["episodes"] == 3 and d["seed"] == 5 and d["split"] is None
         assert d["config"]["mode"] == "full"
         assert d["config"]["classifier"] == "lp"
         assert d["config"]["graph"]["alpha"] == 0.5

@@ -69,6 +69,19 @@ def test_output_digest_is_repeatable(monkeypatch, capsys):
     )
 
 
+def test_fidelity(monkeypatch, capsys):
+    run_script("fidelity", ["--episodes", "2", "--layouts", "5shot-w8"], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    # two header lines, then scales {1, 1/sqrt(m)} x offsets {0, 100}
+    assert lines[1].split() == ["layout", "scale", "offset", "full", "identity",
+                                "full+ssl", "identity+ssl"]
+    assert [line.split()[:3] for line in lines[2:]] == [
+        ["5shot-w8", "1", "0"], ["5shot-w8", "1", "100"],
+        ["5shot-w8", "1/sqrt(m)", "0"], ["5shot-w8", "1/sqrt(m)", "100"],
+    ]
+    assert all(0.0 <= float(acc) <= 1.0 for line in lines[2:] for acc in line.split()[3:])
+
+
 def test_mutants_kills_alpha_negated(monkeypatch, capsys):
     run_script("mutants", ["alpha-negated"], monkeypatch)
     assert capsys.readouterr().out.startswith("alpha-negated: killed (")
