@@ -24,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GRAPH = "src/embedprop/graph.py"
+NUMERICS = "src/embedprop/numerics.py"
 
 # name -> (patches, test files)
 MUTANTS = {
@@ -71,6 +72,17 @@ MUTANTS = {
         [("src/embedprop/cli.py",
           'return data if data.split is None else data.filter_split("novel")', "return data")],
         ["tests/test_cli.py"],
+    ),
+    # the partial factor of an indefinite M is used as if it were complete
+    "pd-info-ignored": (
+        [(NUMERICS, "if info > 0:", "if info < 0:")],
+        ["tests/test_numerics.py"],
+    ),
+    # potrf leaves M's own upper triangle in place (clean=False), so the
+    # solve runs on M, not on its factor
+    "potrs-reads-upper": (
+        [(NUMERICS, "if wide else b, lower=True)", "if wide else b, lower=False)")],
+        ["tests/test_numerics.py"],
     ),
 }
 

@@ -56,7 +56,7 @@ def label_propagation_scores(ztilde, labels, cfg: GraphConfig) -> np.ndarray:
     Raises EmptyClass when some class column has no labeled row.
     """
     ztilde = numerics.as_matrix(ztilde, "Ztilde")
-    y = np.asarray(labels, dtype=np.float64)
+    y = numerics.as_real(labels, "labels")
     if y.ndim != 2 or y.shape[0] != ztilde.shape[0]:
         raise DimensionMismatch(
             f"label matrix must have {ztilde.shape[0]} rows, got shape {y.shape}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify
+from . import classify, numerics
 from .episodes import EmbeddingSet, Episode, EvalConfig, _episode_rows, infer
 from .errors import DimensionMismatch, SameClassPair
 from .graph import GraphConfig, pairwise_sq_distances
@@ -188,8 +188,8 @@ def compactness_metrics(z, labels, ztilde) -> CompactnessMetrics:
     Distances are plain (not squared) Euclidean, averaged over unordered row
     pairs. Categories with no pairs come out as NaN.
     """
-    z = np.asarray(z, dtype=np.float64)
-    ztilde = np.asarray(ztilde, dtype=np.float64)
+    z = numerics.as_real(z, "Z")
+    ztilde = numerics.as_real(ztilde, "Ztilde")
     if z.shape != ztilde.shape:
         raise DimensionMismatch(f"Z {z.shape} and Ztilde {ztilde.shape} differ in shape")
     labs = np.asarray([str(x) for x in labels])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import classify, graph
+from . import classify, graph, numerics
 from .errors import (
     EmptyClass,
     InsufficientClassCount,
@@ -53,7 +53,7 @@ class EmbeddingSet:
     split: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
+        emb = numerics.as_real(self.embeddings, "embeddings")
         if emb.ndim != 2 or emb.shape[0] < 1 or emb.shape[1] < 1:
             raise InvariantViolation(f"embeddings must be (N, m) with N, m >= 1, got {emb.shape}")
         if not np.isfinite(emb).all():
@@ -385,7 +385,7 @@ def ssl_predict(data: EmbeddingSet, ep: Episode, cfg: EvalConfig) -> np.ndarray:
 
 def confidence_interval95(accuracies) -> float:
     """Half-width 1.96 * s / sqrt(E) with s the sample standard deviation."""
-    acc = np.asarray(accuracies, dtype=np.float64)
+    acc = numerics.as_real(accuracies, "accuracies")
     if acc.size < 2:
         return 0.0
     return float(1.96 * acc.std(ddof=1) / math.sqrt(acc.size))

@@ -2,17 +2,20 @@
 
 Everything works on plain float64 numpy arrays. Episode batches are at most a
 few hundred rows, so direct dense factorizations are the right tool; there is
-deliberately no sparse or iterative path here.
+deliberately no sparse or iterative path here. `solve_spd` is the library's
+one call into LAPACK, and it calls the Cholesky pair (dpotrf, dpotrs) itself.
 
-The shared input and resource rules live here, once: the matrix and square
-matrix checks, the symmetry tolerance, and the physical-memory check that
-`graph` and `solve_spd` make before allocating (n, n) arrays.
+The shared input and resource rules live here, once: the real-input rule
+(`as_real`, which every float64 coercion of a caller's array goes through),
+the matrix and square matrix checks, the symmetry tolerance, and the
+physical-memory check that `graph` and `solve_spd` make before allocating
+(n, n) arrays.
 """
 
 import os
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -30,9 +33,20 @@ SYMMETRY_RTOL = 1e-9
 BLOCK_ELEMENTS = 1 << 17
 
 
+def as_real(a, name: str) -> np.ndarray:
+    """Coerce `a` to a float64 array; raise TypeError when its dtype is complex.
+
+    numpy's own cast drops an imaginary part with no more than a warning.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce `a` to a float64 2-D array with >= 1 row/column and finite entries."""
-    m = np.asarray(a, dtype=np.float64)
+    m = as_real(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(
             f"{name} must be 2-D with at least one row and column, got shape {m.shape}"
@@ -44,7 +58,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_square(a, name: str, error=DimensionMismatch) -> np.ndarray:
     """Coerce `a` to a float64 (n, n) array with n >= 1; raise `error` otherwise."""
-    m = np.asarray(a, dtype=np.float64)
+    m = as_real(a, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise error(f"{name} must be square, got shape {m.shape}")
     return m
@@ -105,12 +119,16 @@ def symmetry_defect(m: np.ndarray) -> float:
 def solve_spd(m, b) -> np.ndarray:
     """Solve M X = B for symmetric positive definite M.
 
-    Uses a Cholesky factorization, which doubles as the positive-definiteness
-    check: any nonpositive pivot aborts the solve. A B with more columns than
-    rows is multiplied by M^-1, solved against I, which beats the wide solve;
-    that branch holds four (n, n) arrays (M, its factor, I and M^-1) and raises
-    ResourceLimit before factoring when they exceed physical memory. The
-    result is a pure function of the inputs (same bits in, same bits out).
+    Calls LAPACK's Cholesky factorization (dpotrf) and solve (dpotrs)
+    directly. The factorization doubles as the positive-definiteness check:
+    dpotrf stops at the first nonpositive pivot and reports its leading minor
+    in `info`, and `info > 0` raises NotPositiveDefinite naming that minor.
+    An illegal-argument `info < 0` cannot arise for the validated square
+    float64 M. A B with more columns than rows is multiplied by M^-1, solved
+    against I, which beats the wide solve; that branch holds four (n, n)
+    arrays (M, its factor, I and M^-1) and raises ResourceLimit before
+    factoring when they exceed physical memory. The result is a pure function
+    of the inputs (same bits in, same bits out).
 
     Parameters
     ----------
@@ -121,11 +139,11 @@ def solve_spd(m, b) -> np.ndarray:
 
     Raises
     ------
-    DimensionMismatch, NonFiniteInput, NotSymmetric, NotPositiveDefinite,
-    ResourceLimit
+    TypeError (complex M or B), DimensionMismatch, NonFiniteInput,
+    NotSymmetric, NotPositiveDefinite, ResourceLimit
     """
     m = as_square(m, "M")
-    b = np.asarray(b, dtype=np.float64)
+    b = as_real(b, "B")
     if b.ndim not in (1, 2) or b.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"B must have {m.shape[0]} rows, got shape {b.shape}"
@@ -143,10 +161,8 @@ def solve_spd(m, b) -> np.ndarray:
     wide = b.ndim == 2 and b.shape[1] > b.shape[0]
     if wide:
         check_memory(b.shape[0], 4, "forming M^-1")
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    if wide:
-        return scipy.linalg.cho_solve(factor, np.eye(b.shape[0]), check_finite=False) @ b
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    factor, info = lapack.dpotrf(m, lower=True, clean=False)
+    if info > 0:
+        raise NotPositiveDefinite(f"M is not positive definite: leading minor {info} of {len(m)}")
+    x, _ = lapack.dpotrs(factor, np.eye(b.shape[0]) if wide else b, lower=True)
+    return x @ b if wide else x

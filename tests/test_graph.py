@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -311,6 +311,12 @@ class TestPropagator:
         with pytest.raises(NotPositiveDefinite):
             p.matrix
 
+    def test_not_positive_definite_names_the_failed_minor(self):
+        p = propagator(np.array([[0.0, 3.0], [3.0, 0.0]]), 0.5)
+        message = r"^M is not positive definite: leading minor 2 of 2$"
+        with pytest.raises(NotPositiveDefinite, match=message):
+            p.apply(np.ones(2))
+
     def test_non_finite_laplacian_rejected_on_first_use(self):
         p = propagator(np.array([[0.0, np.nan], [np.nan, 0.0]]), 0.5)
         with pytest.raises(NonFiniteInput, match="M contains NaN or Inf"):
@@ -324,10 +330,8 @@ class TestPropagator:
         b = np.ones(3 if columns is None else (3, columns))
         b.flat[-1] = bad
         factored = []
-        cho_factor = scipy.linalg.cho_factor
-        monkeypatch.setattr(
-            scipy.linalg, "cho_factor", lambda *a, **k: factored.append(1) or cho_factor(*a, **k)
-        )
+        dpotrf = lapack.dpotrf
+        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1) or dpotrf(*a, **k))
         with pytest.raises(NonFiniteInput):
             p.apply(b)
         assert not factored  # rejected before anything is factored
@@ -610,7 +614,7 @@ class TestResourceLimit:
 
         with monkeypatch.context() as patch:
             patch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n - 1)
-            patch.setattr(scipy.linalg, "cho_factor", no_factor)
+            patch.setattr(lapack, "dpotrf", no_factor)
             with pytest.raises(ResourceLimit, match=r"30 rows needs about 28800 bytes"):
                 p.apply(b)
         monkeypatch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n)

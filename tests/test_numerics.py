@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 
+from embedprop.classify import label_propagation_scores
+from embedprop.diagnostics import compactness_metrics
+from embedprop.episodes import EmbeddingSet, confidence_interval95
 from embedprop.errors import (
     DimensionMismatch,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
 )
-from embedprop.numerics import as_matrix, solve_spd, symmetry_defect
+from embedprop.graph import GraphConfig
+from embedprop.numerics import as_matrix, as_square, solve_spd, symmetry_defect
 
 
 def test_identity_solve_returns_rhs():
@@ -53,6 +58,13 @@ def test_rejects_indefinite():
     # positive semidefinite but singular
     with pytest.raises(NotPositiveDefinite):
         solve_spd(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+
+
+def test_not_positive_definite_names_the_failed_minor():
+    # eigenvalues 1 -+ 1.5: the first pivot is 1, the second 1 - 2.25
+    message = r"^M is not positive definite: leading minor 2 of 2$"
+    with pytest.raises(NotPositiveDefinite, match=message):
+        solve_spd([[1.0, -1.5], [-1.5, 1.0]], np.ones(2))
 
 
 def test_rejects_shape_mismatch():
@@ -158,3 +170,74 @@ def test_as_matrix_rejects_nan_and_bad_shape():
         as_matrix(np.ones(3))
     with pytest.raises(DimensionMismatch):
         as_matrix(np.empty((0, 2)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    layout=st.sampled_from(["C", "F", "transposed view"]),
+    columns=st.sampled_from([None, "empty", "narrow", "wide"]),
+)
+def test_same_bits_as_cho_solve(seed, n, layout, columns):
+    # LAPACK's potrf/potrs called directly, against scipy's wrapper of the same pair
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n))
+    m = g.T @ g + np.eye(n)
+    m = (m + m.T) / 2
+    m = {"C": m, "F": np.asfortranarray(m), "transposed view": m.copy().T}[layout]
+    width = {
+        None: None,
+        "empty": 0,
+        "narrow": int(rng.integers(1, n + 1)),
+        "wide": int(rng.integers(n + 1, 2 * n + 2)),
+    }[columns]
+    b = rng.normal(size=n if width is None else (n, width))
+    factor = cho_factor(m, lower=True)
+    if columns == "wide":
+        expected = cho_solve(factor, np.eye(n)) @ b
+    else:
+        expected = cho_solve(factor, b)
+    x = solve_spd(m, b)
+    assert x.shape == expected.shape and x.dtype == expected.dtype
+    assert x.tobytes() == expected.tobytes()
+
+
+_Z = np.ones((3, 2))
+
+
+# complex arrays: numpy's cast keeps only their real part and merely warns
+# (ComplexWarning); a list of Python complex numbers numpy rejects itself
+@pytest.mark.parametrize(
+    "call, value, name",
+    [
+        pytest.param(lambda a: as_matrix(a, "Z"), np.eye(2) + 2j, "Z", id="as_matrix"),
+        pytest.param(lambda a: as_square(a, "L"), np.eye(2) + 2j, "L", id="as_square"),
+        pytest.param(
+            lambda a: solve_spd(np.eye(2), a), np.array([1 + 1j, 2]), "B", id="solve_spd B"
+        ),
+        pytest.param(
+            lambda a: EmbeddingSet(a, ("a",)), np.array([[1 + 1j]]), "embeddings", id="EmbeddingSet"
+        ),
+        pytest.param(
+            lambda a: label_propagation_scores(_Z, a, GraphConfig()),
+            np.eye(3, 2) + 1j,
+            "labels",
+            id="label_propagation_scores",
+        ),
+        pytest.param(
+            lambda a: compactness_metrics(a, "aab", _Z), _Z + 1j, "Z", id="compactness_metrics z"
+        ),
+        pytest.param(
+            lambda a: compactness_metrics(_Z, "aab", a),
+            _Z + 1j,
+            "Ztilde",
+            id="compactness_metrics ztilde",
+        ),
+        pytest.param(
+            confidence_interval95, np.array([0.5j, 0.7]), "accuracies", id="confidence_interval95"
+        ),
+    ],
+)
+def test_complex_input_raises_instead_of_dropping_imaginary_part(call, value, name):
+    with pytest.raises(TypeError, match=rf"^{name} must be real, got dtype complex128$"):
+        call(value)
