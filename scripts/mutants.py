@@ -5,9 +5,10 @@ Each mutant is a list of text patches (file, text, replacement) and the test
 files that should fail under it. For every mutant the script copies `src/`,
 `tests/`, `perfbench/` and `pyproject.toml` into a temporary directory,
 replaces every occurrence of each text there, runs `pytest -x` on the named
-test files with the copy's `src/` on the path, and prints `killed` when they
-fail and `survived` when they pass. A text that no longer occurs in its file
-stops the script: the catalogue has gone stale.
+test files with the copy's `src/` on the path, and prints `killed`, with the
+first failing test, when they fail and `survived` when they pass. A text
+that no longer occurs in its file stops the script: the catalogue has gone
+stale.
 
     python scripts/mutants.py                  # every mutant
     python scripts/mutants.py alpha-negated    # the named ones
@@ -23,6 +24,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EPISODES = "src/embedprop/episodes.py"
 GRAPH = "src/embedprop/graph.py"
 NUMERICS = "src/embedprop/numerics.py"
 
@@ -39,7 +41,7 @@ MUTANTS = {
         ["tests/test_graph.py"],
     ),
     "ssl-pass2-without-pool": (
-        [("src/embedprop/episodes.py",
+        [(EPISODES,
           "return score(np.concatenate([rows, pool]), np.concatenate([classes, pseudo]))",
           "return score(rows, classes)")],
         ["tests/test_reference.py", "tests/test_episodes.py"],
@@ -84,10 +86,30 @@ MUTANTS = {
         [(NUMERICS, "if wide else b, lower=True)", "if wide else b, lower=False)")],
         ["tests/test_numerics.py"],
     ),
+    # numpy's cast truncates a float index and reads a bool one as 0 or 1
+    "index-rule-accepts-floats": (
+        [(NUMERICS, '    if a.size and a.dtype.kind not in "iu":\n'
+                    '        raise TypeError(f"{name} must hold integers, got dtype {a.dtype}")\n',
+          "")],
+        ["tests/test_numerics.py", "tests/test_classify.py", "tests/test_episodes.py"],
+    ),
+    # the factorization reads only M's lower triangle, so an asymmetric M is
+    # solved as if it were symmetric
+    "solve-spd-skips-symmetry": (
+        [(NUMERICS, '    check_symmetric(m, "M")\n', "")],
+        ["tests/test_numerics.py", "tests/test_graph.py"],
+    ),
+    # an untagged file's report would read "split": [] rather than null
+    "parsers-keep-all-none-split": (
+        [(EPISODES, "            if all(s is None for s in split):\n                split = None\n",
+          "")],
+        ["tests/test_io.py", "tests/test_cli.py", "tests/test_episodes.py"],
+    ),
 }
 
 
-def run_mutant(name: str) -> str:
+def run_mutant(name: str) -> tuple[str, str]:
+    """(outcome, the first failing test or "" when none failed) of one mutant."""
     patches, tests = MUTANTS[name]
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
@@ -103,14 +125,16 @@ def run_mutant(name: str) -> str:
             path.write_text(source.replace(text, replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, capture_output=True, text=True,
         )
     # pytest exits 1 when a test fails and 2 when collection fails
     if result.returncode in (1, 2):
-        return "killed"
+        failed = [line.split(" - ")[0].split(" ", 1)[1] for line in result.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))]
+        return "killed", failed[0] if failed else ""
     if result.returncode == 0:
-        return "survived"
+        return "survived", ""
     raise SystemExit(f"{name}: pytest exited {result.returncode}\n{result.stdout}{result.stderr}")
 
 
@@ -125,8 +149,9 @@ def main():
         ap.error(f"unknown mutant {unknown[0]!r}; choose from {', '.join(MUTANTS)}")
     for name in args.names or MUTANTS:
         start = time.perf_counter()
-        outcome = run_mutant(name)
-        print(f"{name}: {outcome} ({time.perf_counter() - start:.1f} s)", flush=True)
+        outcome, by = run_mutant(name)
+        print(f"{name}: {outcome} ({time.perf_counter() - start:.1f} s){' by ' + by if by else ''}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,12 @@ from .graph import GraphConfig
 def build_label_matrix(n_nodes: int, n_classes: int, rows, classes) -> np.ndarray:
     """One-hot label matrix: row r of `rows` gets a 1 in column `classes[r]`.
 
-    Raises LabelOutOfRange for a row outside [0, n_nodes) or a class outside
+    Raises TypeError for a non-integer `rows` or `classes`, and
+    LabelOutOfRange for a row outside [0, n_nodes) or a class outside
     [0, n_classes).
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    classes = np.asarray(classes, dtype=np.intp)
+    rows = numerics.as_index(rows, "rows")
+    classes = numerics.as_index(classes, "classes")
     if rows.shape != classes.shape:
         raise DimensionMismatch("rows and classes must have matching lengths")
     outside = rows[(rows < 0) | (rows >= n_nodes)]
@@ -79,13 +80,14 @@ def prototypical_scores(support_z, support_labels, query_z, n_classes: int | Non
 
     score(q, c) = -||z_q - mu_c||^2 with mu_c the mean of the class-c support
     rows. Scores are nonpositive, unlike label-propagation scores. Raises
-    EmptyClass when a class in [0, n_classes) has no support row.
+    TypeError for non-integer labels, and EmptyClass when a class in
+    [0, n_classes) has no support row.
     """
     support_z = numerics.as_matrix(support_z, "support_Z")
     query_z = numerics.as_matrix(query_z, "query_Z")
     if support_z.shape[1] != query_z.shape[1]:
         raise DimensionMismatch("support and query dimensions differ")
-    labels = np.asarray(support_labels, dtype=np.intp)
+    labels = numerics.as_index(support_labels, "support_labels")
     if labels.ndim != 1 or labels.shape[0] != support_z.shape[0]:
         raise DimensionMismatch("need one label per support row")
     if labels.min() < 0:

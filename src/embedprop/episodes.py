@@ -46,7 +46,11 @@ class SslMode(enum.Enum):
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Immutable store of N embedding rows with class labels and optional split tags."""
+    """Immutable store of N embedding rows with class labels and optional split tags.
+
+    A split tag of None or "" leaves its row untagged, and a split that tags
+    no row is stored as None: the set is untagged.
+    """
 
     embeddings: np.ndarray
     labels: tuple[str, ...]
@@ -69,6 +73,8 @@ class EmbeddingSet:
             bad = {s for s in split if s is not None and s not in SPLIT_TAGS}
             if bad:
                 raise InvariantViolation(f"unknown split tags {sorted(bad)}")
+            if all(s is None for s in split):
+                split = None
         object.__setattr__(self, "embeddings", emb)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "split", split)
@@ -122,9 +128,9 @@ class Episode:
     labeled_mask: np.ndarray  # (n_way, k) bool
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.intp)
-        query = np.asarray(self.query, dtype=np.intp)
-        unlabeled = np.asarray(self.unlabeled, dtype=np.intp).reshape(-1)
+        support = numerics.as_index(self.support, "support")
+        query = numerics.as_index(self.query, "query")
+        unlabeled = numerics.as_index(self.unlabeled, "unlabeled").reshape(-1)
         mask = np.asarray(self.labeled_mask, dtype=bool)
         classes = tuple(str(c) for c in self.classes)
         if len(set(classes)) != len(classes):
@@ -198,7 +204,7 @@ class EvalConfig:
     def __post_init__(self):
         for name in ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, kind in (("graph", GraphConfig), ("mode", PropagationMode),
                            ("classifier", Classifier), ("ssl", SslMode)):
@@ -297,7 +303,7 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
         classes=tuple(episode_classes),
         support=support,
         query=query,
-        unlabeled=np.concatenate(unlabeled) if unlabeled else np.empty(0, dtype=np.intp),
+        unlabeled=np.concatenate(unlabeled),
         labeled_mask=mask,
     )
 

@@ -132,13 +132,7 @@ def adjacency(d2, cfg: GraphConfig) -> tuple[np.ndarray, float]:
     Returns (A, sigma2_used).
     """
     d2 = numerics.as_square(d2, "D2", InvalidDistanceMatrix)
-    # NaN and Inf reach the maximum or the minimum; max |d2| is one of them
-    hi, lo = float(d2.max()), float(d2.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise InvalidDistanceMatrix("D2 contains NaN or Inf entries")
-    scale = 1.0 + max(abs(hi), abs(lo))
-    if not numerics.symmetry_defect(d2) <= numerics.SYMMETRY_RTOL * scale:
-        raise InvalidDistanceMatrix("D2 is not symmetric")
+    lo, scale = numerics.check_symmetric(d2, "D2", InvalidDistanceMatrix, InvalidDistanceMatrix)
     if not np.abs(np.diagonal(d2)).max() <= 1e-12 * scale:
         raise InvalidDistanceMatrix("D2 diagonal is not zero")
     if not lo >= -1e-12 * scale:

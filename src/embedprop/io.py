@@ -83,7 +83,7 @@ def _parse_csv(blob: bytes, path) -> EmbeddingSet:
 
     ids: set[str] = set()
     labels: list[str] = []
-    splits: list[str | None] = []
+    splits: list[str] = []
     rows: list[np.ndarray] = []
     start = reader.line_num + 1  # a record's first line; quoted line breaks span lines
     for row in reader:
@@ -98,7 +98,7 @@ def _parse_csv(blob: bytes, path) -> EmbeddingSet:
             raise InvariantViolation(f"{path}:{lineno}: duplicate id {row[0]!r}")
         ids.add(row[0])
         labels.append(row[1])
-        splits.append(row[2] if row[2] != "" else None)
+        splits.append(row[2])
         features = row[3:]
         # float(), which np.array calls per cell, also reads digit separators: "1_0" is 10.0
         if "_" in "".join(features):
@@ -110,8 +110,7 @@ def _parse_csv(blob: bytes, path) -> EmbeddingSet:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise InvariantViolation(f"{path}: no data rows")
-    split = None if all(s is None for s in splits) else tuple(splits)
-    return EmbeddingSet(embeddings=np.array(rows), labels=tuple(labels), split=split)
+    return EmbeddingSet(embeddings=np.array(rows), labels=tuple(labels), split=tuple(splits))
 
 
 class _Echo:
@@ -178,9 +177,8 @@ def _parse_binary(blob: bytes, path) -> EmbeddingSet:
         raise ParseError(f"{path}: unknown split code {int(codes.max())}")
     labels = tuple(table[i] for i in idx)
     splits = tuple(_SPLIT_NAMES[int(c)] for c in codes)
-    split = None if all(s is None for s in splits) else splits
     emb = values.astype(np.float64).reshape(n, m)
-    return EmbeddingSet(embeddings=emb, labels=labels, split=split)
+    return EmbeddingSet(embeddings=emb, labels=labels, split=splits)
 
 
 def _save_binary(data: EmbeddingSet, path) -> None:

@@ -7,11 +7,14 @@ one call into LAPACK, and it calls the Cholesky pair (dpotrf, dpotrs) itself.
 
 The shared input and resource rules live here, once: the real-input rule
 (`as_real`, which every float64 coercion of a caller's array goes through),
-the matrix and square matrix checks, the symmetry tolerance, and the
-physical-memory check that `graph` and `solve_spd` make before allocating
-(n, n) arrays.
+the index rule (`as_index`, which every integer coercion of a caller's index
+array goes through), the matrix and square matrix checks, the finite and
+symmetric matrix check with its one tolerance (`check_symmetric`, made by
+`graph.adjacency` and `solve_spd`), and the physical-memory check that `graph`
+and `solve_spd` make before allocating (n, n) arrays.
 """
 
+import math
 import os
 
 import numpy as np
@@ -42,6 +45,18 @@ def as_real(a, name: str) -> np.ndarray:
     if a.dtype.kind == "c":
         raise TypeError(f"{name} must be real, got dtype {a.dtype}")
     return a.astype(np.float64, copy=False)
+
+
+def as_index(a, name: str) -> np.ndarray:
+    """Coerce `a` to an intp array; raise TypeError when its dtype is not integer.
+
+    numpy's own cast truncates floats and reads bools as 0 and 1 without a
+    word. An empty array of any dtype passes: np.asarray([]) is float64.
+    """
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got dtype {a.dtype}")
+    return a.astype(np.intp, copy=False)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -102,10 +117,10 @@ def upper_blocks(n: int, depth: int = 1):
 def symmetry_defect(m: np.ndarray) -> float:
     """Largest absolute difference between square `m` and its transpose.
 
-    Works over the upper triangle by row blocks. Both callers reject NaN and
-    Inf first. Finite mirrored entries can still differ by more than the
-    float64 maximum; their difference overflows to Inf without a warning,
-    and an Inf defect fails every tolerance.
+    Works over the upper triangle by row blocks. `check_symmetric` rejects
+    NaN and Inf first. Finite mirrored entries can still differ by more than
+    the float64 maximum; their difference overflows to Inf without a
+    warning, and an Inf defect fails every tolerance.
     """
     defect = 0.0
     with np.errstate(over="ignore"):
@@ -114,6 +129,24 @@ def symmetry_defect(m: np.ndarray) -> float:
             np.subtract(m[start:stop, start:], m[start:, start:stop].T, out=diff)
             defect = np.maximum(defect, np.abs(diff, out=diff).max())
     return float(defect)
+
+
+def check_symmetric(m, name: str, nonfinite=NonFiniteInput, asymmetric=NotSymmetric) -> tuple:
+    """Raise unless square float64 `m` is finite and symmetric within tolerance.
+
+    NaN or Inf raises `nonfinite`; a `symmetry_defect` above SYMMETRY_RTOL *
+    (1 + max |m|) raises `asymmetric`. Returns (min of m, 1 + max |m|).
+    """
+    # NaN and Inf reach the maximum or the minimum; max |m| is one of them
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise nonfinite(f"{name} contains NaN or Inf entries")
+    scale = 1.0 + max(abs(hi), abs(lo))
+    tol = SYMMETRY_RTOL * scale
+    defect = symmetry_defect(m)
+    if not defect <= tol:
+        raise asymmetric(f"{name} is not symmetric: asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    return lo, scale
 
 
 def solve_spd(m, b) -> np.ndarray:
@@ -150,14 +183,7 @@ def solve_spd(m, b) -> np.ndarray:
         )
     if not np.isfinite(b).all():
         raise NonFiniteInput("B contains NaN or Inf entries")
-    # NaN and Inf reach the maximum or the minimum; max |m| is one of them
-    hi, lo = float(m.max()), float(m.min())
-    if not np.isfinite([hi, lo]).all():
-        raise NonFiniteInput("M contains NaN or Inf entries")
-    tol = SYMMETRY_RTOL * max(1.0, abs(hi), abs(lo))
-    defect = symmetry_defect(m)
-    if defect > tol:
-        raise NotSymmetric(f"asymmetry {defect:.3e} exceeds tolerance {tol:.3e}")
+    check_symmetric(m, "M")
     wide = b.ndim == 2 and b.shape[1] > b.shape[0]
     if wide:
         check_memory(b.shape[0], 4, "forming M^-1")

@@ -35,8 +35,8 @@ def propagate_embeddings(
     P is applied as-is, without row normalization, so propagated rows are
     weighted sums rather than convex combinations and their norms change.
     """
-    z = numerics.as_matrix(z, "Z")
-    prop = graph.build_propagator(z, cfg)
+    prop = graph.build_propagator(z, cfg)  # raises for a bad z, before it is read here
+    z = numerics.as_real(z, "Z")
     if mode is PropagationMode.FULL:
         ztilde = prop.apply(z)
     elif mode is PropagationMode.OFF_DIAGONAL_ONLY:

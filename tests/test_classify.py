@@ -18,6 +18,13 @@ from embedprop.graph import GraphConfig
 
 from test_graph import neumann_propagator, laplacian_from_points
 
+# index arrays of the right values and shape in a dtype the index rule refuses
+NON_INTEGER = {
+    "float": lambda a: np.asarray(a, dtype=np.float64),
+    "bool": lambda a: np.asarray(a).astype(bool),
+    "object": lambda a: np.asarray(a, dtype=object),
+}
+
 
 class TestLabelPropagationScores:
     def test_duplicate_of_support_gets_its_class(self):
@@ -109,6 +116,19 @@ class TestBuildLabelMatrix:
         with pytest.raises(DimensionMismatch, match="matching lengths"):
             build_label_matrix(3, 2, [0, 1], [0])
 
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+    @pytest.mark.parametrize("arg", ["rows", "classes"])
+    def test_non_integer_indices_rejected(self, arg, kind):
+        # a cast would truncate 1.7 to 1 and read True as 1, without a word
+        indices = dict(rows=[2, 1], classes=[1, 0])
+        indices[arg] = NON_INTEGER[kind](indices[arg])
+        with pytest.raises(TypeError, match=f"^{arg} must hold integers, got dtype "):
+            build_label_matrix(3, 2, **indices)
+
+    def test_empty_float_indices_accepted(self):
+        # np.asarray([]) is float64; no index is truncated
+        assert (build_label_matrix(3, 2, np.array([]), []) == 0.0).all()
+
 
 class TestSoftmax:
     def test_uniform_rows(self):
@@ -162,6 +182,12 @@ class TestPrototypicalScores:
         with pytest.raises(error, match=message):
             prototypical_scores(np.array([[0.0], [1.0]]), labels, np.zeros((1, query_dim)),
                                 n_classes=n_classes)
+
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+    def test_non_integer_labels_rejected(self, kind):
+        labels = NON_INTEGER[kind]([0, 1])
+        with pytest.raises(TypeError, match="^support_labels must hold integers, got dtype "):
+            prototypical_scores(np.array([[0.0], [1.0]]), labels, np.zeros((1, 1)))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)

@@ -31,7 +31,10 @@ from embedprop.errors import (
     NoUnlabeledPool,
 )
 from embedprop.graph import GraphConfig
+from embedprop.io import report_to_dict
 from embedprop.propagation import PropagationMode, propagate_embeddings
+
+from test_classify import NON_INTEGER
 
 
 def grid_dataset(n_classes=20, per_class=40, seed=0):
@@ -74,6 +77,20 @@ class TestEmbeddingSet:
     def test_rejects_bad_shape(self, shape):
         with pytest.raises(InvariantViolation, match=r"embeddings must be \(N, m\)"):
             EmbeddingSet(np.ones(shape), ("a",))
+
+    @pytest.mark.parametrize("split", [(None, None), ("", None), ("", "")])
+    def test_split_without_tags_is_untagged(self, split):
+        assert EmbeddingSet(np.ones((2, 1)), ("a", "b"), split).split is None
+
+    def test_filter_split_of_split_without_tags(self):
+        with pytest.raises(InvariantViolation, match="set has no split tags"):
+            EmbeddingSet(np.ones((2, 1)), ("a", "b"), (None, None)).filter_split("base")
+
+    def test_report_of_split_without_tags_is_null(self):
+        emb = np.vstack([np.full((10, 2), 0.0), np.full((10, 2), 9.0)])
+        data = EmbeddingSet(emb, ("a",) * 10 + ("b",) * 10, (None,) * 20)
+        report = evaluate(data, EvalConfig(n_way=2, k_shot=1, q_queries=2, episodes=2))
+        assert report.split is None and report_to_dict(report)["split"] is None
 
     def test_rejects_split_count_mismatch(self):
         with pytest.raises(InvariantViolation, match="1 split tags for 2 rows"):
@@ -239,6 +256,30 @@ class TestEpisode:
         layout[field] = value
         with pytest.raises(InvariantViolation, match=message):
             Episode(**layout)
+
+    @pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+    @pytest.mark.parametrize("field", ["support", "query", "unlabeled"])
+    def test_non_integer_indices_rejected(self, field, kind):
+        layout = dict(
+            classes=("a", "b"),
+            support=np.array([[0], [2]]),
+            query=np.array([[1], [3]]),
+            unlabeled=np.array([4]),
+            labeled_mask=np.ones((2, 1), dtype=bool),
+        )
+        layout[field] = NON_INTEGER[kind](layout[field])
+        with pytest.raises(TypeError, match=f"^{field} must hold integers, got dtype "):
+            Episode(**layout)
+
+    def test_empty_unlabeled_list_accepted(self):
+        ep = Episode(
+            classes=("a", "b"),
+            support=np.array([[0], [2]]),
+            query=np.array([[1], [3]]),
+            unlabeled=[],
+            labeled_mask=np.ones((2, 1), dtype=bool),
+        )
+        assert ep.unlabeled.dtype == np.intp and ep.unlabeled.shape == (0,)
 
     def test_duplicate_class_identifiers_rejected(self):
         # a repeated class would score 0.0 in run_episode
@@ -552,6 +593,14 @@ class TestEvaluate:
     ])
     def test_config_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EvalConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_way", "k_shot", "q_queries", "u_unlabeled",
+                                       "episodes", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_rejects_bool_counts(self, field, value):
+        # bool passes numbers.Integral: k_shot=True would build a 1-shot config
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             EvalConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [

@@ -15,7 +15,14 @@ from embedprop.errors import (
     NotSymmetric,
 )
 from embedprop.graph import GraphConfig
-from embedprop.numerics import as_matrix, as_square, solve_spd, symmetry_defect
+from embedprop.numerics import (
+    SYMMETRY_RTOL,
+    as_index,
+    as_matrix,
+    as_square,
+    solve_spd,
+    symmetry_defect,
+)
 
 
 def test_identity_solve_returns_rhs():
@@ -156,11 +163,37 @@ def test_rejects_non_finite_m(bad, cells):
         solve_spd(m, np.ones(2))
 
 
+def test_symmetry_tolerance_is_one_plus_the_largest_entry():
+    # as in adjacency, the defect may reach SYMMETRY_RTOL * (1 + max |M|) and
+    # no further; at max |M| = 1 that is twice SYMMETRY_RTOL * max(1, max |M|)
+    tol = SYMMETRY_RTOL * (1.0 + 1.0)
+    m = np.array([[1.0, 0.5], [0.5 - tol, 1.0]])
+    assert SYMMETRY_RTOL < 0.5 - m[1, 0] <= tol
+    solve_spd(m, np.ones(2))
+    m[1, 0] = np.nextafter(m[1, 0], -np.inf)
+    with pytest.raises(NotSymmetric, match="^M is not symmetric: asymmetry "):
+        solve_spd(m, np.ones(2))
+
+
 def test_overflowing_asymmetry_is_not_symmetric():
     # finite mirrored entries 2e308 apart: their difference overflows to Inf,
     # which must fail the tolerance without an overflow warning
     with pytest.raises(NotSymmetric, match="asymmetry inf exceeds"):
         solve_spd([[1e308, -1e308], [1e308, 1.0]], np.ones(2))
+
+
+@pytest.mark.parametrize("a", [[1.5], [True], np.array([1], dtype=object), [1j]],
+                         ids=["float", "bool", "object", "complex"])
+def test_as_index_rejects_non_integer_dtypes(a):
+    with pytest.raises(TypeError, match=r"^idx must hold integers, got dtype "):
+        as_index(a, "idx")
+
+
+@pytest.mark.parametrize("a", [[], np.empty(0, dtype=bool), np.array([3], dtype=np.uint8)],
+                         ids=["empty-float", "empty-bool", "uint8"])
+def test_as_index_reads_integers_and_empty_arrays(a):
+    idx = as_index(a, "idx")
+    assert idx.dtype == np.intp and idx.tolist() == np.asarray(a).tolist()
 
 
 def test_as_matrix_rejects_nan_and_bad_shape():

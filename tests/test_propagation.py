@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from embedprop.diagnostics import compactness_metrics, gaussian_clusters
-from embedprop.errors import InvalidDistanceMatrix
+from embedprop.errors import DimensionMismatch, InvalidDistanceMatrix, NonFiniteInput
 from embedprop.graph import GraphConfig
 from embedprop.numerics import BLOCK_ELEMENTS
 from embedprop.propagation import PropagationMode, propagate_embeddings
@@ -45,6 +46,17 @@ def test_overflowing_difference_is_invalid_distance():
     # Z is finite, but rows 0 and 1 differ by 2e308, beyond the float64 maximum
     z = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
     with pytest.raises(InvalidDistanceMatrix, match="D2 contains NaN or Inf"):
+        propagate_embeddings(z, GraphConfig())
+
+
+@pytest.mark.parametrize("z, error, message", [
+    (np.array([[0.0, np.nan], [1.0, 0.0]]), NonFiniteInput, "Z contains NaN or Inf entries"),
+    (np.zeros(3), DimensionMismatch,
+     "Z must be 2-D with at least one row and column, got shape (3,)"),
+    (np.zeros((2, 2), dtype=complex), TypeError, "Z must be real, got dtype complex128"),
+], ids=["nan", "1-d", "complex"])
+def test_bad_batch_errors(z, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         propagate_embeddings(z, GraphConfig())
 
 
