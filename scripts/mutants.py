@@ -93,6 +93,12 @@ MUTANTS = {
           "")],
         ["tests/test_numerics.py", "tests/test_classify.py", "tests/test_episodes.py"],
     ),
+    # the same routines, reached through all of scipy.linalg in every process
+    "imports-scipy-linalg": (
+        [(NUMERICS, "lapack = importlib.util.module_from_spec(_spec)\n_spec.loader.exec_module(lapack)\n",
+          "from scipy.linalg import lapack\n")],
+        ["tests/test_numerics.py"],
+    ),
     # the factorization reads only M's lower triangle, so an asymmetric M is
     # solved as if it were symmetric
     "solve-spd-skips-symmetry": (

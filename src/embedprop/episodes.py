@@ -217,6 +217,8 @@ class EvalConfig:
             raise ValueError("k_shot and q_queries must be >= 1")
         if self.u_unlabeled < 0:
             raise ValueError(f"u_unlabeled must be >= 0, got {self.u_unlabeled}")
+        if isinstance(self.labeled_fraction, bool) or not isinstance(self.labeled_fraction, numbers.Real):
+            raise ValueError(f"labeled_fraction must be a real number, got {self.labeled_fraction!r}")
         if not 0.0 < self.labeled_fraction <= 1.0:
             raise ValueError(f"labeled_fraction must lie in (0, 1], got {self.labeled_fraction}")
         if self.episodes < 1:

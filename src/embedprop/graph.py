@@ -24,6 +24,7 @@ allocating when its arrays exceed physical memory, by `numerics.check_memory`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,12 @@ class GraphConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.sigma2_override is not None and not 0.0 < self.sigma2_override < math.inf:
-            raise ValueError(
-                f"sigma2_override must be finite and positive, got {self.sigma2_override}"
-            )
+        override = self.sigma2_override
+        if override is not None:
+            if isinstance(override, bool) or not isinstance(override, numbers.Real):
+                raise ValueError(f"sigma2_override must be a real number, got {override!r}")
+            if not 0.0 < override < math.inf:
+                raise ValueError(f"sigma2_override must be finite and positive, got {override}")
 
 
 @dataclass(frozen=True)

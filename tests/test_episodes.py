@@ -595,17 +595,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EvalConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["n_way", "k_shot", "q_queries", "u_unlabeled",
-                                       "episodes", "seed"])
+    @pytest.mark.parametrize("config, field, kind", [
+        *(pytest.param(EvalConfig, name, "an integer", id=name)
+          for name in ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes", "seed")),
+        pytest.param(EvalConfig, "labeled_fraction", "a real number", id="labeled_fraction"),
+        pytest.param(GraphConfig, "sigma2_override", "a real number", id="sigma2_override"),
+    ])
     @pytest.mark.parametrize("value", [True, False])
-    def test_config_rejects_bool_counts(self, field, value):
-        # bool passes numbers.Integral: k_shot=True would build a 1-shot config
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
-            EvalConfig(**{field: value})
+    def test_config_rejects_bool_counts(self, config, field, kind, value):
+        # bool passes numbers.Integral and numbers.Real: k_shot=True would
+        # build a 1-shot config, labeled_fraction=True a fraction of 1
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value}$"):
+            config(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("mode", "full"), ("classifier", "lp"), ("ssl", "pseudo"), ("graph", None),
-        ("classifier", PropagationMode.FULL),
+        ("classifier", PropagationMode.FULL), ("labeled_fraction", "0.5"),
+        ("labeled_fraction", np.True_),
     ])
     def test_config_rejects_values_outside_its_types(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a "):

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -330,8 +329,8 @@ class TestPropagator:
         b = np.ones(3 if columns is None else (3, columns))
         b.flat[-1] = bad
         factored = []
-        dpotrf = lapack.dpotrf
-        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **k: factored.append(1) or dpotrf(*a, **k))
+        dpotrf = numerics.lapack.dpotrf
+        monkeypatch.setattr(numerics.lapack, "dpotrf", lambda *a, **k: factored.append(1) or dpotrf(*a, **k))
         with pytest.raises(NonFiniteInput):
             p.apply(b)
         assert not factored  # rejected before anything is factored
@@ -614,7 +613,7 @@ class TestResourceLimit:
 
         with monkeypatch.context() as patch:
             patch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n - 1)
-            patch.setattr(lapack, "dpotrf", no_factor)
+            patch.setattr(numerics.lapack, "dpotrf", no_factor)
             with pytest.raises(ResourceLimit, match=r"30 rows needs about 28800 bytes"):
                 p.apply(b)
         monkeypatch.setattr(numerics, "physical_memory", lambda: 4 * 8 * n * n)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cho_factor, cho_solve
+import scipy
+from scipy.linalg import cho_factor, cho_solve, lapack
 
+from embedprop import numerics
 from embedprop.classify import label_propagation_scores
 from embedprop.diagnostics import compactness_metrics
 from embedprop.episodes import EmbeddingSet, confidence_interval95
@@ -233,6 +240,59 @@ def test_same_bits_as_cho_solve(seed, n, layout, columns):
     x = solve_spd(m, b)
     assert x.shape == expected.shape and x.dtype == expected.dtype
     assert x.tobytes() == expected.tobytes()
+
+
+def test_lapack_routines_are_scipys_public_ones():
+    # the standalone load must reach the very routines scipy.linalg.lapack
+    # exports, so that a change of scipy's layout fails here, not in the bits
+    assert numerics.lapack.dpotrf is lapack.dpotrf
+    assert numerics.lapack.dpotrs is lapack.dpotrs
+
+
+SOLVES_WITHOUT_SCIPY_LINALG = """
+import sys
+import numpy as np
+import embedprop, embedprop.cli
+from embedprop.graph import GraphConfig, build_propagator
+from embedprop.numerics import solve_spd
+solve_spd(2.0 * np.eye(3), np.ones(3))
+build_propagator(np.arange(6.0).reshape(3, 2), GraphConfig()).apply(np.ones((3, 4)))
+print("scipy.linalg" in sys.modules)
+"""
+
+NO_LAPACK_EXTENSION = """
+import importlib.machinery
+find_spec = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = lambda name, path=None, target=None: (
+    None if name == "scipy.linalg._flapack" else find_spec(name, path, target))
+try:
+    import embedprop
+except ImportError as e:
+    print(e)
+"""
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter on this tree's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_no_call_path_imports_scipy_linalg():
+    # all of scipy.linalg costs a process about 0.27 s and 18 MB; numerics
+    # loads scipy's LAPACK extension alone, at import, not on the first solve
+    assert run_fresh(SOLVES_WITHOUT_SCIPY_LINALG).split() == ["False"]
+
+
+def test_missing_lapack_extension_names_where_it_looked():
+    message = run_fresh(NO_LAPACK_EXTENSION).strip()
+    assert message.startswith("no LAPACK extension _flapack in ")
+    assert os.path.join("scipy", "linalg") in message and f"(scipy {scipy.__version__})" in message
 
 
 _Z = np.ones((3, 2))
