@@ -105,6 +105,23 @@ MUTANTS = {
         [(NUMERICS, '    check_symmetric(m, "M")\n', "")],
         ["tests/test_numerics.py", "tests/test_graph.py"],
     ),
+    # every share stops one row short, so the row before each cut (and the
+    # last row) is never computed
+    "share-drops-last-row": (
+        [(NUMERICS, "    return list(zip(bounds[:-1], bounds[1:]))",
+          "    return [(lo, hi - 1) for lo, hi in zip(bounds[:-1], bounds[1:])]")],
+        ["tests/test_graph.py"],
+    ),
+    # numpy's error state does not follow a task into a pool thread, so the
+    # pool's shares warn on an overflowing difference
+    "share-errstate-on-caller-only": (
+        [(GRAPH, '        with np.errstate(over="ignore"):\n            for start, stop, scratch',
+          "        if True:\n            for start, stop, scratch"),
+         (GRAPH, "    numerics.for_each_share(rows, numerics.upper_shares(n, m))",
+          '    with np.errstate(over="ignore"):\n'
+          "        numerics.for_each_share(rows, numerics.upper_shares(n, m))")],
+        ["tests/test_graph.py"],
+    ),
     # an untagged file's report would read "split": [] rather than null
     "parsers-keep-all-none-split": (
         [(EPISODES, "            if all(s is None for s in split):\n                split = None\n",

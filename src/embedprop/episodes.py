@@ -11,9 +11,7 @@ import dataclasses
 import enum
 import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +25,10 @@ from .errors import (
     NoUnlabeledPool,
 )
 from .graph import GraphConfig
+from .numerics import thread_count
 from .propagation import PropagationMode, propagate_embeddings
 
 SPLIT_TAGS = ("base", "val", "novel")
-
-_DEFAULT_MAX_WORKERS = 8
 
 
 class Classifier(enum.Enum):
@@ -403,29 +400,12 @@ def _episode_accuracy(data: EmbeddingSet, cfg: EvalConfig, index: int) -> float:
     return run_episode(data, sample_episode(data, cfg, index), cfg)[1]
 
 
-def thread_count() -> int:
-    """Episode-level worker count: EP_THREADS, else min(cpus, 8); never above the usable CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("EP_THREADS")
-    if raw is None or raw == "":
-        return min(cpus, _DEFAULT_MAX_WORKERS)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}")
-    return min(n, cpus)
-
-
 def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
     """Run cfg.episodes episodes and report mean accuracy with a 95% CI.
 
     Episodes are independent pure functions of (data, cfg, index), so the
-    accuracy list is bit-identical regardless of the worker count.
+    accuracy list is bit-identical regardless of the worker count. Episodes
+    run on `numerics.thread_pool` threads, so their kernels run inline.
     """
     start = time.perf_counter()
     indices = range(cfg.episodes)
@@ -433,7 +413,7 @@ def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
     if workers == 1 or cfg.episodes == 1:
         accuracies = [_episode_accuracy(data, cfg, i) for i in indices]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with numerics.thread_pool(workers) as pool:
             accuracies = list(pool.map(lambda i: _episode_accuracy(data, cfg, i), indices))
     wall_ms = int(round((time.perf_counter() - start) * 1000.0))
     return EvalReport(

@@ -15,12 +15,19 @@ array goes through), the matrix and square matrix checks, the finite and
 symmetric matrix check with its one tolerance (`check_symmetric`, made by
 `graph.adjacency` and `solve_spd`), and the physical-memory check that `graph`
 and `solve_spd` make before allocating (n, n) arrays.
+
+So does the thread policy. `thread_count` reads EP_THREADS and the usable
+CPUs; `thread_pool` is the one pool factory, and it marks its threads. A
+kernel split by `upper_shares` runs inline on a marked thread, so the
+episode pool of `episodes.evaluate` and a kernel's own pool never nest.
 """
 
 import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -49,6 +56,12 @@ SYMMETRY_RTOL = 1e-9
 # Bound on the temporary of one row block, in float64 elements: 1 << 17
 # elements = 1 MiB, whatever n. No block size changes a result bit.
 BLOCK_ELEMENTS = 1 << 17
+
+# Worker count when EP_THREADS is unset, before the cap at the usable CPUs.
+_DEFAULT_MAX_WORKERS = 8
+
+# Marks the threads of `thread_pool`; a kernel called on one runs inline.
+_pool_thread = threading.local()
 
 
 def as_real(a, name: str) -> np.ndarray:
@@ -113,18 +126,87 @@ def check_memory(n: int, arrays: int, what: str) -> None:
         )
 
 
-def upper_blocks(n: int, depth: int = 1):
-    """Row blocks of the upper triangle of an (n, n) matrix, with a scratch buffer.
+def thread_count() -> int:
+    """Worker count: EP_THREADS, else min(cpus, 8); never above the usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    raw = os.environ.get("EP_THREADS")
+    if raw is None or raw == "":
+        return min(cpus, _DEFAULT_MAX_WORKERS)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}") from None
+    if n < 1:
+        raise ValueError(f"EP_THREADS must be a positive integer, got {raw!r}")
+    return min(n, cpus)
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.marked = True
+
+
+def thread_pool(workers: int) -> ThreadPoolExecutor:
+    """The library's one pool factory: `workers` threads, each marked so that
+    a kernel called on it runs inline and pools never nest."""
+    return ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
+
+
+def upper_shares(n: int, depth: int) -> list:
+    """Contiguous row ranges [lo, hi) of an (n, n) upper triangle, one per worker.
+
+    Splits only when that adds no blocks: when n * depth * workers >=
+    BLOCK_ELEMENTS, so that one row of `depth` elements per entry fills a
+    share's budget of BLOCK_ELEMENTS // workers. The cuts give each share an
+    equal part of the triangle's area. On a `thread_pool` thread, and below
+    that size, the one share is every row.
+    """
+    workers = 1
+    # a triangle within one block never splits, so it need not read EP_THREADS
+    if n * n * depth >= BLOCK_ELEMENTS and not getattr(_pool_thread, "marked", False):
+        workers = min(n, thread_count())
+    if n * depth * workers < BLOCK_ELEMENTS:
+        return [(0, n)]
+    # rows [0, r] of the upper triangle hold area[r] entries
+    area = np.cumsum(np.arange(n, 0, -1))
+    cuts = np.searchsorted(area, area[-1] * np.arange(1, workers) / workers) + 1
+    bounds = [0, *sorted(set(cuts.tolist()) - {n}), n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def for_each_share(task, shares) -> None:
+    """task(lo, hi, budget) for every share, each with budget BLOCK_ELEMENTS //
+    len(shares): the first on the calling thread, the others on a pool
+    started for this call. numpy's error state does not follow a task into a
+    pool thread, so `task` sets its own."""
+    budget = BLOCK_ELEMENTS // len(shares)
+    if len(shares) == 1:
+        task(*shares[0], budget)
+        return
+    with thread_pool(len(shares) - 1) as pool:
+        futures = [pool.submit(task, lo, hi, budget) for lo, hi in shares[1:]]
+        task(*shares[0], budget)
+        for future in futures:
+            future.result()
+
+
+def upper_blocks(n: int, depth: int = 1, lo: int = 0, hi: int | None = None,
+                 budget: int = BLOCK_ELEMENTS):
+    """Row blocks of rows [lo, hi) of the upper triangle of an (n, n) matrix,
+    with a scratch buffer.
 
     Yields (start, stop, scratch) for rows [start, stop) x columns [start, n),
     diagonal included. A block takes as many rows as keep rows x (n - start) x
-    depth within BLOCK_ELEMENTS (at least one row); `scratch` is a flat float64
-    buffer of exactly that many elements, reused by every block.
+    depth within `budget` (at least one row); `scratch` is a flat float64
+    buffer of exactly that many elements, reused by every block of the walk.
     """
-    buf = np.empty(min(n * n * depth, max(BLOCK_ELEMENTS, n * depth)))
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, BLOCK_ELEMENTS // ((n - start) * depth)))
+    hi = n if hi is None else hi
+    buf = np.empty(min((hi - lo) * (n - lo) * depth, max(budget, (n - lo) * depth)))
+    start = lo
+    while start < hi:
+        stop = min(hi, start + max(1, budget // ((n - start) * depth)))
         yield start, stop, buf[: (stop - start) * (n - start) * depth]
         start = stop
 
@@ -178,6 +260,10 @@ def solve_spd(m, b) -> np.ndarray:
     factoring when they exceed physical memory. The result is a pure function
     of the inputs (same bits in, same bits out).
 
+    The factorization reads the upper triangle of M. An M that is symmetric
+    only within SYMMETRY_RTOL is solved as the symmetric matrix that mirrors
+    its upper triangle.
+
     Parameters
     ----------
     m : (n, n) array
@@ -202,7 +288,10 @@ def solve_spd(m, b) -> np.ndarray:
     wide = b.ndim == 2 and b.shape[1] > b.shape[0]
     if wide:
         check_memory(b.shape[0], 4, "forming M^-1")
-    factor, info = lapack.dpotrf(m, lower=True, clean=False)
+    # m.T is m's memory in Fortran order, so the routine's copy is a plain
+    # one; its lower triangle is m's upper one, which equals m's lower one
+    # bit for bit when m is exactly symmetric, as every system the chain builds is
+    factor, info = lapack.dpotrf(m.T, lower=True, clean=False)
     if info > 0:
         raise NotPositiveDefinite(f"M is not positive definite: leading minor {info} of {len(m)}")
     x, _ = lapack.dpotrs(factor, np.eye(b.shape[0]) if wide else b, lower=True)

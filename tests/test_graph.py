@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embedprop import graph, numerics
+from embedprop.diagnostics import gaussian_clusters
+from embedprop.episodes import EvalConfig, evaluate
 from embedprop.errors import (
     DimensionMismatch,
     InvalidDistanceMatrix,
@@ -431,6 +435,121 @@ def test_apply_matches_dense_solve_property(seed, n, alpha, log_scale, duplicate
     ref = np.linalg.solve(p.system, b)
     assert x.shape == ref.shape
     assert np.abs(x - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+
+def _usable_cpus(monkeypatch, count=4):
+    # the split path starts real threads; at most count - 1 beside the caller
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _shape_batch(n, m, seed=5):
+    """Random rows with two duplicates and a large common offset."""
+    z = np.random.default_rng(seed).normal(size=(n, m)) + 1e4
+    if n >= 4:
+        z[-1] = z[0]
+        z[n // 2] = z[1]
+    return z
+
+
+class TestSplitPath:
+    # n * m * workers >= BLOCK_ELEMENTS splits: (511, 128) at 4 workers and not
+    # at 2, (512, 128) at both, (256, 127) at neither; n = 1 never splits
+    @pytest.mark.parametrize(
+        "shape,shares",
+        [((256, 127), (1, 1, 1)), ((511, 128), (1, 1, 4)), ((512, 128), (1, 2, 4)),
+         ((1, BLOCK_ELEMENTS), (1, 1, 1)), ((2, BLOCK_ELEMENTS // 2), (1, 2, 2))],
+    )
+    def test_bits_equal_the_serial_path(self, shape, shares, monkeypatch):
+        # shares write disjoint parts of one result; four workers on fewer
+        # cores, switching often, would expose a lost or crossed write
+        _usable_cpus(monkeypatch)
+        z = _shape_batch(*shape)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads, count in zip(("1", "2", "4"), shares):
+                monkeypatch.setenv("EP_THREADS", threads)
+                assert len(numerics.upper_shares(*shape)) == count
+                results.append(pairwise_sq_distances(z))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = results[0]
+        assert all(d2.tobytes() == serial.tobytes() for d2 in results[1:])
+        assert (serial == serial.T).all() and (np.diagonal(serial) == 0.0).all()
+
+    def test_shares_cover_every_row_once(self, monkeypatch):
+        _usable_cpus(monkeypatch, count=8)
+        monkeypatch.setenv("EP_THREADS", "8")
+        for n, m in ((512, 256), (2000, 64), (9, BLOCK_ELEMENTS)):
+            shares = numerics.upper_shares(n, m)
+            bounds = [lo for lo, _ in shares] + [shares[-1][1]]
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert all(lo < hi for lo, hi in shares)
+            assert [hi for _, hi in shares[:-1]] == bounds[1:-1]
+            area = [(2 * n - lo - hi + 1) * (hi - lo) / 2 for lo, hi in shares]
+            assert max(area) <= n * (n + 1) / 2 / len(shares) + n
+
+    def test_overflow_in_a_pool_share_is_inf_without_warning(self, monkeypatch):
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", "2")
+        n, m = 512, 128
+        z = np.random.default_rng(6).normal(size=(n, m))
+        z[-2, 0], z[-1, 0] = -1e308, 1e308  # both rows in the pool's share
+        assert numerics.upper_shares(n, m)[-1][0] < n - 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = pairwise_sq_distances(z)
+        assert d2[n - 2, n - 1] == math.inf and d2[n - 1, n - 2] == math.inf
+        assert np.isfinite(d2[: n - 2, : n - 2]).all()
+
+    def test_peak_memory_of_the_shares(self, monkeypatch):
+        # each of 4 shares walks with its own scratch of at least one row
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", "4")
+        n, m, workers = 300, 128, 4
+        assert len(numerics.upper_shares(n, m)) == workers
+        z = np.random.default_rng(7).normal(size=(n, m))
+        tracemalloc.start()
+        try:
+            pairwise_sq_distances(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 8 * max(BLOCK_ELEMENTS, workers * n * m) + (1 << 16)
+
+
+class TestNoNestedPools:
+    @staticmethod
+    def _count_pools(monkeypatch):
+        started = []
+        factory = numerics.thread_pool
+
+        def counting(workers):
+            started.append(workers)
+            return factory(workers)
+
+        monkeypatch.setattr(numerics, "thread_pool", counting)
+        return started
+
+    def test_evaluate_kernels_run_inline_on_its_pool(self, monkeypatch):
+        # on the calling thread 120 x 640 would split; on the episode pool it does not
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", "2")
+        assert len(numerics.upper_shares(120, 640)) == 2
+        data = gaussian_clusters(5, 24, spread=0.4, seed=8, dim=640)
+        cfg = EvalConfig(n_way=5, k_shot=5, q_queries=15, u_unlabeled=20, episodes=2)
+        started = self._count_pools(monkeypatch)
+        evaluate(data, cfg)
+        assert started == [2]
+
+    def test_direct_call_starts_one_pool(self, monkeypatch):
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", "2")
+        started = self._count_pools(monkeypatch)
+        pairwise_sq_distances(np.random.default_rng(9).normal(size=(2000, 64)))
+        assert started == [1]
 
 
 @given(

@@ -88,6 +88,23 @@ def test_rejects_shape_mismatch():
         solve_spd(np.ones((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("columns", [2, 9])
+def test_nearly_symmetric_m_is_solved_by_its_upper_triangle(columns):
+    # an M within SYMMETRY_RTOL of symmetric passes the check, and LAPACK reads
+    # its upper triangle: the solve is that of the upper triangle mirrored
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(6, 6))
+    m = g.T @ g + np.eye(6)
+    m[4, 1] += SYMMETRY_RTOL * np.abs(m).max() / 2
+    assert 0 < symmetry_defect(m) <= SYMMETRY_RTOL * (1 + np.abs(m).max())
+    b = rng.normal(size=(6, columns))
+    upper = np.triu(m) + np.triu(m, 1).T
+    lower = np.tril(m) + np.tril(m, -1).T
+    x = solve_spd(m, b)
+    assert x.tobytes() == solve_spd(upper, b).tobytes()
+    assert x.tobytes() != solve_spd(lower, b).tobytes()
+
+
 def test_deterministic():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(6, 6))
