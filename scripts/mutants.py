@@ -117,9 +117,21 @@ MUTANTS = {
     "share-errstate-on-caller-only": (
         [(GRAPH, '        with np.errstate(over="ignore"):\n            for start, stop, scratch',
           "        if True:\n            for start, stop, scratch"),
-         (GRAPH, "    numerics.for_each_share(rows, numerics.upper_shares(n, m))",
+         (GRAPH, "    numerics.parallel_map(rows, shares, len(shares))",
           '    with np.errstate(over="ignore"):\n'
-          "        numerics.for_each_share(rows, numerics.upper_shares(n, m))")],
+          "        numerics.parallel_map(rows, shares, len(shares))")],
+        ["tests/test_graph.py"],
+    ),
+    # every evaluate starts its pool, also where an episode is too small to
+    # gain from threads (100 rows x 8 columns)
+    "episode-pool-ignores-size": (
+        [(EPISODES, "    workers = numerics.workers_for(rows * rows * data.dim)\n",
+          "    workers = thread_count()\n")],
+        ["tests/test_graph.py"],
+    ),
+    # a kernel on a pool thread starts a pool of its own: pools nest
+    "workers-ignore-mark": (
+        [(NUMERICS, '    if getattr(_pool_thread, "marked", False):\n        return 1\n', "")],
         ["tests/test_graph.py"],
     ),
     # an untagged file's report would read "split": [] rather than null

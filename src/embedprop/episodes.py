@@ -25,7 +25,7 @@ from .errors import (
     NoUnlabeledPool,
 )
 from .graph import GraphConfig
-from .numerics import thread_count
+from .numerics import thread_count  # perfbench/worker.py reads episodes.thread_count
 from .propagation import PropagationMode, propagate_embeddings
 
 SPLIT_TAGS = ("base", "val", "novel")
@@ -404,17 +404,14 @@ def evaluate(data: EmbeddingSet, cfg: EvalConfig) -> EvalReport:
     """Run cfg.episodes episodes and report mean accuracy with a 95% CI.
 
     Episodes are independent pure functions of (data, cfg, index), so the
-    accuracy list is bit-identical regardless of the worker count. Episodes
-    run on `numerics.thread_pool` threads, so their kernels run inline.
+    accuracy list is bit-identical regardless of the worker count, which
+    `numerics.workers_for` picks for one episode's rows^2 * dim elements.
     """
     start = time.perf_counter()
-    indices = range(cfg.episodes)
-    workers = thread_count()
-    if workers == 1 or cfg.episodes == 1:
-        accuracies = [_episode_accuracy(data, cfg, i) for i in indices]
-    else:
-        with numerics.thread_pool(workers) as pool:
-            accuracies = list(pool.map(lambda i: _episode_accuracy(data, cfg, i), indices))
+    rows = cfg.n_way * (cfg.k_shot + cfg.q_queries) + cfg.u_unlabeled
+    workers = numerics.workers_for(rows * rows * data.dim)
+    accuracies = numerics.parallel_map(
+        lambda i: _episode_accuracy(data, cfg, i), range(cfg.episodes), workers)
     wall_ms = int(round((time.perf_counter() - start) * 1000.0))
     return EvalReport(
         accuracies=tuple(accuracies),

@@ -8,9 +8,7 @@ the width of the right-hand side. Dense float64; episode-sized batches.
 The distance kernel is exact (no Gram expansion). It works by row blocks of
 the upper triangle: each block copies its rows into one reused scratch buffer
 of about 1 MiB, subtracts the other rows in place, and reduces with an einsum
-that writes into the result. A large batch outside the episode pool has its
-rows split among `numerics.thread_count()` workers, each with its own share
-of that budget; the bits do not depend on the split.
+that writes into the result.
 
 Symmetry is built once, in the distance kernel, not repaired: every later
 stage is elementwise, so A, L and I - alpha*L stay exactly symmetric.
@@ -19,11 +17,11 @@ Each stage allocates only its own result and works on it in place, without
 writing its input. `build_propagator` drops each input once the next stage
 holds its result, so an n-row batch peaks at two (n, n) float64 arrays plus
 block temporaries of about 1 MiB (at least one row of n x m differences per
-distance worker): the system and its Cholesky factor during
-a solve (16 n^2 bytes; 6.4 GB at n = 20 000). Forming P (`Propagator.matrix`,
-or an `apply` to a right-hand side wider than the batch) holds four: the
-system, the identity, the factor and P. Each raises ResourceLimit before
-allocating when its arrays exceed physical memory, by `numerics.check_memory`.
+distance worker): the system and its Cholesky factor during a solve (16 n^2
+bytes; 6.4 GB at n = 20 000). Forming P (`Propagator.matrix`, or an `apply`
+to a right-hand side wider than the batch) holds four: the system, the
+identity, the factor and P. Each raises ResourceLimit before allocating
+when its arrays exceed physical memory, by `numerics.check_memory`.
 """
 
 import math
@@ -47,6 +45,8 @@ class GraphConfig:
     sigma2_override: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         override = self.sigma2_override
@@ -107,30 +107,30 @@ def pairwise_sq_distances(z) -> np.ndarray:
     broadcasting both, and give the same bits: each difference is one IEEE
     subtraction either way.
 
-    A batch whose one row of differences fills a worker's part of
-    numerics.BLOCK_ELEMENTS is cut into `numerics.upper_shares`, contiguous
-    row ranges of equal triangle area, one per `numerics.thread_count()`
-    worker, each walked with its own scratch of BLOCK_ELEMENTS // workers
-    elements (1 MiB in all; at least one row each). Every entry is still one
-    einsum over the same columns in the same order, so no split changes a
-    bit. On a `numerics.thread_pool` thread, as in `evaluate`, it runs inline.
+    The n * n * m differences are one job for `numerics.workers_for`, whose
+    workers walk `numerics.upper_shares` by `numerics.parallel_map`, each with
+    its own scratch of BLOCK_ELEMENTS // workers elements (at least one row).
+    Every entry is still one einsum over the same columns in the same order,
+    so no split changes a bit.
     """
     z = numerics.as_matrix(z, "Z")
     n, m = z.shape
     d2 = np.empty((n, n), dtype=np.float64)
+    shares = numerics.upper_shares(n, m, numerics.workers_for(n * n * m))
+    budget = numerics.BLOCK_ELEMENTS // len(shares)
 
-    def rows(lo, hi, budget):
+    def rows(share):
         # a difference beyond the float64 maximum is Inf, which `adjacency`
         # rejects, so it need not warn here; each thread sets its own state
         with np.errstate(over="ignore"):
-            for start, stop, scratch in numerics.upper_blocks(n, m, lo, hi, budget):
+            for start, stop, scratch in numerics.upper_blocks(n, m, *share, budget):
                 diff = scratch.reshape(stop - start, n - start, m)
                 np.copyto(diff, z[start:stop, None, :])
                 np.subtract(diff, z[None, start:, :], out=diff)
                 np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:stop, start:])
                 d2[stop:, start:stop] = d2[start:stop, stop:].T
 
-    numerics.for_each_share(rows, numerics.upper_shares(n, m))
+    numerics.parallel_map(rows, shares, len(shares))
     return d2
 
 

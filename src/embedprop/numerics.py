@@ -16,10 +16,10 @@ symmetric matrix check with its one tolerance (`check_symmetric`, made by
 `graph.adjacency` and `solve_spd`), and the physical-memory check that `graph`
 and `solve_spd` make before allocating (n, n) arrays.
 
-So does the thread policy. `thread_count` reads EP_THREADS and the usable
-CPUs; `thread_pool` is the one pool factory, and it marks its threads. A
-kernel split by `upper_shares` runs inline on a marked thread, so the
-episode pool of `episodes.evaluate` and a kernel's own pool never nest.
+So does the thread policy of the library's two parallel jobs, the episodes
+of `episodes.evaluate` and the distance triangle of one batch: one size rule
+(`workers_for`) and one executor (`parallel_map`), whose threads, marked,
+start no pool of their own.
 """
 
 import importlib.machinery
@@ -60,7 +60,7 @@ BLOCK_ELEMENTS = 1 << 17
 # Worker count when EP_THREADS is unset, before the cap at the usable CPUs.
 _DEFAULT_MAX_WORKERS = 8
 
-# Marks the threads of `thread_pool`; a kernel called on one runs inline.
+# Marks the threads of `parallel_map`; `workers_for` gives a job on one 1.
 _pool_thread = threading.local()
 
 
@@ -128,10 +128,7 @@ def check_memory(n: int, arrays: int, what: str) -> None:
 
 def thread_count() -> int:
     """Worker count: EP_THREADS, else min(cpus, 8); never above the usable CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     raw = os.environ.get("EP_THREADS")
     if raw is None or raw == "":
         return min(cpus, _DEFAULT_MAX_WORKERS)
@@ -144,29 +141,51 @@ def thread_count() -> int:
     return min(n, cpus)
 
 
-def _mark_pool_thread() -> None:
-    _pool_thread.marked = True
+def workers_for(elements: int) -> int:
+    """Workers for a job of `elements` float64 elements: 1 on a `parallel_map`
+    thread; else thread_count(), which checks EP_THREADS, when the job fills
+    at least BLOCK_ELEMENTS, and 1 below that."""
+    if getattr(_pool_thread, "marked", False):
+        return 1
+    workers = thread_count()
+    return workers if elements >= BLOCK_ELEMENTS else 1
 
 
-def thread_pool(workers: int) -> ThreadPoolExecutor:
-    """The library's one pool factory: `workers` threads, each marked so that
-    a kernel called on it runs inline and pools never nest."""
-    return ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread)
+def parallel_map(task, items, workers: int) -> list:
+    """[task(item) for item in items] on min(workers, len(items)) threads: the
+    calling thread and, beside it, a pool started for this call. Thread k
+    maps items k, k + workers, ... and is marked while it does, so that
+    `workers_for` gives 1 on it. numpy's error state does not follow a task
+    into a pool thread, so `task` sets its own."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [task(item) for item in items]
+    results = [None] * len(items)
+
+    # only an unmarked thread gets here: on a marked one `workers_for` gives 1
+    def run(k):
+        _pool_thread.marked = True
+        try:
+            results[k::workers] = [task(item) for item in items[k::workers]]
+        finally:
+            _pool_thread.marked = False
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = pool.map(run, range(1, workers))
+        run(0)
+        list(rest)
+    return results
 
 
-def upper_shares(n: int, depth: int) -> list:
+def upper_shares(n: int, depth: int, workers: int) -> list:
     """Contiguous row ranges [lo, hi) of an (n, n) upper triangle, one per worker.
 
-    Splits only when that adds no blocks: when n * depth * workers >=
-    BLOCK_ELEMENTS, so that one row of `depth` elements per entry fills a
-    share's budget of BLOCK_ELEMENTS // workers. The cuts give each share an
-    equal part of the triangle's area. On a `thread_pool` thread, and below
-    that size, the one share is every row.
+    Splits among min(n, workers) only when that adds no blocks: when n *
+    depth * workers >= BLOCK_ELEMENTS, so that one row of `depth` elements
+    per entry fills a share's budget of BLOCK_ELEMENTS // workers. The cuts
+    give each share an equal part of the triangle's area.
     """
-    workers = 1
-    # a triangle within one block never splits, so it need not read EP_THREADS
-    if n * n * depth >= BLOCK_ELEMENTS and not getattr(_pool_thread, "marked", False):
-        workers = min(n, thread_count())
+    workers = min(n, workers)
     if n * depth * workers < BLOCK_ELEMENTS:
         return [(0, n)]
     # rows [0, r] of the upper triangle hold area[r] entries
@@ -174,22 +193,6 @@ def upper_shares(n: int, depth: int) -> list:
     cuts = np.searchsorted(area, area[-1] * np.arange(1, workers) / workers) + 1
     bounds = [0, *sorted(set(cuts.tolist()) - {n}), n]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def for_each_share(task, shares) -> None:
-    """task(lo, hi, budget) for every share, each with budget BLOCK_ELEMENTS //
-    len(shares): the first on the calling thread, the others on a pool
-    started for this call. numpy's error state does not follow a task into a
-    pool thread, so `task` sets its own."""
-    budget = BLOCK_ELEMENTS // len(shares)
-    if len(shares) == 1:
-        task(*shares[0], budget)
-        return
-    with thread_pool(len(shares) - 1) as pool:
-        futures = [pool.submit(task, lo, hi, budget) for lo, hi in shares[1:]]
-        task(*shares[0], budget)
-        for future in futures:
-            future.result()
 
 
 def upper_blocks(n: int, depth: int = 1, lo: int = 0, hi: int | None = None,

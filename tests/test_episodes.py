@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -525,6 +526,29 @@ class TestEvaluate:
         assert serial.accuracies == threaded.accuracies
         assert serial.mean == threaded.mean and serial.ci95 == threaded.ci95
 
+    def test_bits_equal_across_thread_counts_above_the_pool_size(self, monkeypatch):
+        # 80 rows x 640 columns is a job past numerics.BLOCK_ELEMENTS, so the
+        # episodes really run on 1, 2 and 4 workers; 7 of them split unevenly,
+        # and four workers on fewer cores, switching often, would expose a
+        # lost or misplaced result
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        data = gaussian_clusters(6, 20, spread=0.4, seed=11, dim=640)
+        cfg = EvalConfig(n_way=5, k_shot=1, q_queries=15, episodes=7)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("EP_THREADS", threads)
+                assert numerics.workers_for(80 * 80 * 640) == int(threads)
+                reports.append(evaluate(data, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        first = reports[0]
+        assert all(r.accuracies == first.accuracies for r in reports[1:])
+        assert all(r.mean == first.mean and r.ci95 == first.ci95 for r in reports[1:])
+
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         # pure function of the env var and the usable CPUs; starts no thread
         def usable(count):
@@ -600,6 +624,7 @@ class TestEvaluate:
           for name in ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes", "seed")),
         pytest.param(EvalConfig, "labeled_fraction", "a real number", id="labeled_fraction"),
         pytest.param(GraphConfig, "sigma2_override", "a real number", id="sigma2_override"),
+        pytest.param(GraphConfig, "alpha", "a real number", id="alpha"),
     ])
     @pytest.mark.parametrize("value", [True, False])
     def test_config_rejects_bool_counts(self, config, field, kind, value):

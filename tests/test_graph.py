@@ -138,6 +138,17 @@ class TestAdjacency:
         with pytest.raises(ValueError, match="sigma2_override must be finite and positive"):
             GraphConfig(sigma2_override=override)
 
+    @pytest.mark.parametrize("alpha", ["0.5", None, True, np.True_, 0.5j])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        # checked before the range, whose comparison would raise TypeError
+        with pytest.raises(ValueError, match=f"^alpha must be a real number, got {alpha!r}$"):
+            GraphConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_alpha_must_lie_in_the_open_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            GraphConfig(alpha=alpha)
+
     def test_diagonal_forced_zero(self):
         d2 = pairwise_sq_distances(np.random.default_rng(4).normal(size=(5, 2)))
         a, _ = adjacency(d2, GraphConfig())
@@ -443,6 +454,11 @@ def _usable_cpus(monkeypatch, count=4):
                         raising=False)
 
 
+def _shares(n, m):
+    """The shares `pairwise_sq_distances` walks an n x m batch in."""
+    return numerics.upper_shares(n, m, numerics.workers_for(n * n * m))
+
+
 def _shape_batch(n, m, seed=5):
     """Random rows with two duplicates and a large common offset."""
     z = np.random.default_rng(seed).normal(size=(n, m)) + 1e4
@@ -471,7 +487,7 @@ class TestSplitPath:
         try:
             for threads, count in zip(("1", "2", "4"), shares):
                 monkeypatch.setenv("EP_THREADS", threads)
-                assert len(numerics.upper_shares(*shape)) == count
+                assert len(_shares(*shape)) == count
                 results.append(pairwise_sq_distances(z))
         finally:
             sys.setswitchinterval(interval)
@@ -483,7 +499,7 @@ class TestSplitPath:
         _usable_cpus(monkeypatch, count=8)
         monkeypatch.setenv("EP_THREADS", "8")
         for n, m in ((512, 256), (2000, 64), (9, BLOCK_ELEMENTS)):
-            shares = numerics.upper_shares(n, m)
+            shares = _shares(n, m)
             bounds = [lo for lo, _ in shares] + [shares[-1][1]]
             assert bounds[0] == 0 and bounds[-1] == n
             assert all(lo < hi for lo, hi in shares)
@@ -497,7 +513,7 @@ class TestSplitPath:
         n, m = 512, 128
         z = np.random.default_rng(6).normal(size=(n, m))
         z[-2, 0], z[-1, 0] = -1e308, 1e308  # both rows in the pool's share
-        assert numerics.upper_shares(n, m)[-1][0] < n - 2
+        assert _shares(n, m)[-1][0] < n - 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d2 = pairwise_sq_distances(z)
@@ -509,7 +525,7 @@ class TestSplitPath:
         _usable_cpus(monkeypatch)
         monkeypatch.setenv("EP_THREADS", "4")
         n, m, workers = 300, 128, 4
-        assert len(numerics.upper_shares(n, m)) == workers
+        assert len(_shares(n, m)) == workers
         z = np.random.default_rng(7).normal(size=(n, m))
         tracemalloc.start()
         try:
@@ -520,34 +536,53 @@ class TestSplitPath:
         assert peak <= 8 * n * n + 8 * max(BLOCK_ELEMENTS, workers * n * m) + (1 << 16)
 
 
+def count_pools(monkeypatch):
+    """The thread count of every pool `numerics.parallel_map` starts, in order."""
+    started = []
+    executor = numerics.ThreadPoolExecutor
+
+    def counting(workers, **kwargs):
+        started.append(workers)
+        return executor(workers, **kwargs)
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", counting)
+    return started
+
+
 class TestNoNestedPools:
-    @staticmethod
-    def _count_pools(monkeypatch):
-        started = []
-        factory = numerics.thread_pool
-
-        def counting(workers):
-            started.append(workers)
-            return factory(workers)
-
-        monkeypatch.setattr(numerics, "thread_pool", counting)
-        return started
 
     def test_evaluate_kernels_run_inline_on_its_pool(self, monkeypatch):
         # on the calling thread 120 x 640 would split; on the episode pool it does not
         _usable_cpus(monkeypatch)
         monkeypatch.setenv("EP_THREADS", "2")
-        assert len(numerics.upper_shares(120, 640)) == 2
+        assert len(_shares(120, 640)) == 2
         data = gaussian_clusters(5, 24, spread=0.4, seed=8, dim=640)
         cfg = EvalConfig(n_way=5, k_shot=5, q_queries=15, u_unlabeled=20, episodes=2)
-        started = self._count_pools(monkeypatch)
+        started = count_pools(monkeypatch)
         evaluate(data, cfg)
-        assert started == [2]
+        # two workers: the calling thread and a pool of one thread beside it
+        assert started == [1]
+        assert numerics.workers_for(BLOCK_ELEMENTS) == 2  # the caller is unmarked again
+
+    @pytest.mark.parametrize("threads, episodes", [("2", 5), ("4", 3), ("2", 1)])
+    def test_evaluate_pools_by_episode_size(self, threads, episodes, monkeypatch):
+        # 100 rows x 8 = 80 000 elements run on the calling thread; 80 rows x
+        # 640 get min(thread_count(), episodes) workers, the caller among them
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", threads)
+        started = count_pools(monkeypatch)
+        evaluate(gaussian_clusters(5, 20, spread=0.4, seed=8, dim=8),
+                 EvalConfig(n_way=5, k_shot=5, q_queries=15, episodes=episodes))
+        assert started == []
+        evaluate(gaussian_clusters(5, 16, spread=0.4, seed=8, dim=640),
+                 EvalConfig(n_way=5, k_shot=1, q_queries=15, episodes=episodes))
+        workers = min(numerics.thread_count(), episodes)
+        assert started == ([workers - 1] if workers > 1 else [])
 
     def test_direct_call_starts_one_pool(self, monkeypatch):
         _usable_cpus(monkeypatch)
         monkeypatch.setenv("EP_THREADS", "2")
-        started = self._count_pools(monkeypatch)
+        started = count_pools(monkeypatch)
         pairwise_sq_distances(np.random.default_rng(9).normal(size=(2000, 64)))
         assert started == [1]
 
