@@ -93,6 +93,18 @@ MUTANTS = {
           "")],
         ["tests/test_numerics.py", "tests/test_classify.py", "tests/test_episodes.py"],
     ),
+    # bool is a numbers.Integral, so k_shot=True would build a 1-shot config
+    "count-accepts-bool": (
+        [(NUMERICS, "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+          "if not isinstance(value, numbers.Integral):")],
+        ["tests/test_numerics.py"],
+    ),
+    # a count equal to its least, u_unlabeled=0 say, is refused
+    "count-least-off-by-one": (
+        [(NUMERICS, "if least is not None and value < least:",
+          "if least is not None and value <= least:")],
+        ["tests/test_numerics.py"],
+    ),
     # the same routines, reached through all of scipy.linalg in every process
     "imports-scipy-linalg": (
         [(NUMERICS, "lapack = importlib.util.module_from_spec(_spec)\n_spec.loader.exec_module(lapack)\n",

@@ -13,22 +13,28 @@ from .errors import DimensionMismatch, EmptyClass, LabelOutOfRange
 from .graph import GraphConfig
 
 
+def _check_range(indices: np.ndarray, n: int, what: str) -> None:
+    """Raise LabelOutOfRange naming the first of `indices` outside [0, n)."""
+    outside = indices[(indices < 0) | (indices >= n)]
+    if outside.size:
+        raise LabelOutOfRange(f"{what} {outside[0]} outside [0, {n})")
+
+
 def build_label_matrix(n_nodes: int, n_classes: int, rows, classes) -> np.ndarray:
     """One-hot label matrix: row r of `rows` gets a 1 in column `classes[r]`.
 
-    Raises TypeError for a non-integer `rows` or `classes`, and
-    LabelOutOfRange for a row outside [0, n_nodes) or a class outside
-    [0, n_classes).
+    Raises ValueError for counts that fail `numerics.as_count` (>= 1),
+    TypeError for a non-integer `rows` or `classes`, and LabelOutOfRange for
+    a row outside [0, n_nodes) or a class outside [0, n_classes).
     """
+    n_nodes = numerics.as_count(n_nodes, "n_nodes", 1)
+    n_classes = numerics.as_count(n_classes, "n_classes", 1)
     rows = numerics.as_index(rows, "rows")
     classes = numerics.as_index(classes, "classes")
     if rows.shape != classes.shape:
         raise DimensionMismatch("rows and classes must have matching lengths")
-    outside = rows[(rows < 0) | (rows >= n_nodes)]
-    if outside.size:
-        raise LabelOutOfRange(f"row {outside[0]} outside [0, {n_nodes})")
-    if classes.size and (classes.min() < 0 or classes.max() >= n_classes):
-        raise LabelOutOfRange(f"class index outside [0, {n_classes})")
+    _check_range(rows, n_nodes, "row")
+    _check_range(classes, n_classes, "class index")
     y = np.zeros((n_nodes, n_classes))
     y[rows, classes] = 1.0
     return y
@@ -80,8 +86,9 @@ def prototypical_scores(support_z, support_labels, query_z, n_classes: int | Non
 
     score(q, c) = -||z_q - mu_c||^2 with mu_c the mean of the class-c support
     rows. Scores are nonpositive, unlike label-propagation scores. Raises
-    TypeError for non-integer labels, and EmptyClass when a class in
-    [0, n_classes) has no support row.
+    ValueError for an `n_classes` that fails `numerics.as_count` (>= 1; default
+    largest label + 1), TypeError for non-integer labels, LabelOutOfRange for
+    one outside [0, n_classes) and EmptyClass for a class with no support row.
     """
     support_z = numerics.as_matrix(support_z, "support_Z")
     query_z = numerics.as_matrix(query_z, "query_Z")
@@ -90,12 +97,9 @@ def prototypical_scores(support_z, support_labels, query_z, n_classes: int | Non
     labels = numerics.as_index(support_labels, "support_labels")
     if labels.ndim != 1 or labels.shape[0] != support_z.shape[0]:
         raise DimensionMismatch("need one label per support row")
-    if labels.min() < 0:
-        raise LabelOutOfRange("negative class index")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    elif labels.max() >= n_classes:
-        raise LabelOutOfRange(f"label index outside [0, {n_classes})")
+    n_classes = (int(labels.max()) + 1 if n_classes is None
+                 else numerics.as_count(n_classes, "n_classes", 1))
+    _check_range(labels, n_classes, "class index")
     protos = np.empty((n_classes, support_z.shape[1]))
     for c in range(n_classes):
         members = support_z[labels == c]

@@ -92,10 +92,11 @@ def interpolation_curve(
     label-free rows (queries or unlabeled), whose duplicates are
     interchangeable with them by graph symmetry.
 
-    `i` and `j` are positions in episode node order, not dataset rows.
+    `i` and `j` are positions in episode node order, not dataset rows; they
+    and `grid_size` >= 2 are integers (`numerics.as_count`), else ValueError.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    i, j = numerics.as_count(i, "i"), numerics.as_count(j, "j")
+    grid_size = numerics.as_count(grid_size, "grid_size", 2)
     nodes = _episode_rows(data, ep)
     yi = _episode_class_index(data, ep, nodes, i)
     yj = _episode_class_index(data, ep, nodes, j)
@@ -110,22 +111,18 @@ def interpolation_curve(
         scores = infer(np.vstack([z, extra]), ep, cfg)
         probs[g] = classify.softmax_probs(scores[-1:])[0, yi]
     max_jump = float(np.abs(np.diff(probs)).max())
-    return InterpolationCurve(i=int(i), j=int(j), grid=grid, probs=probs, max_jump=max_jump)
+    return InterpolationCurve(i=i, j=j, grid=grid, probs=probs, max_jump=max_jump)
 
 
 def random_query_pairs(ep: Episode, count: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Random different-class query node pairs, as episode node positions."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    """`count` >= 1 random different-class query node pairs, as episode node positions."""
     pairs = []
-    for _ in range(count):
+    for _ in range(numerics.as_count(count, "count", 1)):
         ca, cb = rng.choice(ep.n_way, size=2, replace=False)
         qa = int(rng.integers(ep.q_queries))
         qb = int(rng.integers(ep.q_queries))
-        pairs.append(
-            (ep.n_support + int(ca) * ep.q_queries + qa,
-             ep.n_support + int(cb) * ep.q_queries + qb)
-        )
+        pairs.append((ep.n_support + int(ca) * ep.q_queries + qa,
+                      ep.n_support + int(cb) * ep.q_queries + qb))
     return pairs
 
 
@@ -133,10 +130,11 @@ def two_moons(n_per_moon: int, noise_sd: float, seed: int) -> EmbeddingSet:
     """Two interleaved half-circles with isotropic Gaussian noise.
 
     Moon 0 traces (cos t, sin t) and moon 1 traces (1 - cos t, 0.5 - sin t)
-    for t uniform on [0, pi]; labels are the moon names.
+    for t uniform on [0, pi]; labels are the moon names. `n_per_moon` >= 1 and
+    `noise_sd` >= 0 go through `numerics.as_count` and `as_number`.
     """
-    if n_per_moon < 1:
-        raise ValueError(f"n_per_moon must be >= 1, got {n_per_moon}")
+    n_per_moon = numerics.as_count(n_per_moon, "n_per_moon", 1)
+    noise_sd = numerics.as_number(noise_sd, "noise_sd")
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
@@ -160,26 +158,25 @@ def gaussian_clusters(
     """Gaussian blobs at unit basis vectors (pairwise center distance sqrt(2)).
 
     `spread` is the per-coordinate standard deviation, so the ratio of
-    within-class spread to inter-center distance is spread / sqrt(2).
+    within-class spread to inter-center distance is spread / sqrt(2). The
+    counts go through `numerics.as_count` and `spread` through `as_number`.
     """
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    n_classes = numerics.as_count(n_classes, "n_classes", 2)
+    n_per_class = numerics.as_count(n_per_class, "n_per_class", 1)
+    spread = numerics.as_number(spread, "spread")
     if not (math.isfinite(spread) and spread >= 0):
         raise ValueError(f"spread must be finite and >= 0, got {spread}")
-    dim = n_classes if dim is None else dim
+    dim = n_classes if dim is None else numerics.as_count(dim, "dim")
     if dim < n_classes:
         raise ValueError(f"dim must be >= n_classes, got {dim} < {n_classes}")
     rng = np.random.default_rng(seed)
     blocks = []
-    labels: list[str] = []
     for c in range(n_classes):
         center = np.zeros(dim)
         center[c] = 1.0
         blocks.append(center + rng.normal(0.0, spread, (n_per_class, dim)))
-        labels.extend([f"c{c:03d}"] * n_per_class)
-    return EmbeddingSet(embeddings=np.vstack(blocks), labels=tuple(labels))
+    labels = tuple(f"c{c:03d}" for c in range(n_classes) for _ in range(n_per_class))
+    return EmbeddingSet(embeddings=np.vstack(blocks), labels=labels)
 
 
 def compactness_metrics(z, labels, ztilde) -> CompactnessMetrics:
@@ -222,27 +219,22 @@ def batch_projections(
     """Propagate random subsets repeatedly (FULL mode), one output row per (point, batch).
 
     Shows how the same point lands in different places depending on which
-    batch it is propagated with.
+    batch it is propagated with. Both counts go through `numerics.as_count`.
     """
-    if not 1 <= batch_size <= data.n:
+    if not 1 <= numerics.as_count(batch_size, "batch_size") <= data.n:
         raise ValueError(f"batch_size must lie in [1, {data.n}], got {batch_size}")
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    n_batches = numerics.as_count(n_batches, "n_batches", 1)
     rng = np.random.default_rng(seed)
     points = []
-    batches = []
     coords = []
-    labels: list[str] = []
-    for b in range(n_batches):
+    for _ in range(n_batches):
         idx = np.sort(rng.choice(data.n, size=batch_size, replace=False))
-        ztilde, _ = propagate_embeddings(data.embeddings[idx], cfg)
         points.append(idx)
-        batches.append(np.full(batch_size, b, dtype=np.intp))
-        coords.append(ztilde)
-        labels.extend(data.labels[i] for i in idx)
+        coords.append(propagate_embeddings(data.embeddings[idx], cfg)[0])
+    point = np.concatenate(points)
     return BatchProjections(
-        point=np.concatenate(points),
-        batch=np.concatenate(batches),
+        point=point,
+        batch=np.repeat(np.arange(n_batches, dtype=np.intp), batch_size),
         coords=np.vstack(coords),
-        labels=tuple(labels),
+        labels=tuple(data.labels[i] for i in point),
     )

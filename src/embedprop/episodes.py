@@ -10,7 +10,6 @@ class identifiers. Every episode draws its own RNG stream from
 import dataclasses
 import enum
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -184,7 +183,8 @@ class Episode:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Episode layout plus pipeline configuration for the harness."""
+    """Episode layout plus pipeline configuration for the harness; the counts and
+    labeled_fraction go through `numerics.as_count` and `numerics.as_number`."""
 
     n_way: int = 5
     k_shot: int = 1
@@ -199,29 +199,17 @@ class EvalConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("n_way", 2), ("k_shot", 1), ("q_queries", 1), ("u_unlabeled", 0),
+                            ("episodes", 1), ("seed", 0)):
+            numerics.as_count(getattr(self, name), name, least)
+        if not self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        if not 0.0 < numerics.as_number(self.labeled_fraction, "labeled_fraction") <= 1.0:
+            raise ValueError(f"labeled_fraction must lie in (0, 1], got {self.labeled_fraction}")
         for name, kind in (("graph", GraphConfig), ("mode", PropagationMode),
                            ("classifier", Classifier), ("ssl", SslMode)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-        if self.n_way < 2:
-            raise ValueError(f"n_way must be >= 2, got {self.n_way}")
-        if self.k_shot < 1 or self.q_queries < 1:
-            raise ValueError("k_shot and q_queries must be >= 1")
-        if self.u_unlabeled < 0:
-            raise ValueError(f"u_unlabeled must be >= 0, got {self.u_unlabeled}")
-        if isinstance(self.labeled_fraction, bool) or not isinstance(self.labeled_fraction, numbers.Real):
-            raise ValueError(f"labeled_fraction must be a real number, got {self.labeled_fraction!r}")
-        if not 0.0 < self.labeled_fraction <= 1.0:
-            raise ValueError(f"labeled_fraction must lie in (0, 1], got {self.labeled_fraction}")
-        if self.episodes < 1:
-            raise ValueError(f"episodes must be >= 1, got {self.episodes}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

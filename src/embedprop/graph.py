@@ -25,7 +25,6 @@ when its arrays exceed physical memory, by `numerics.check_memory`.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +37,19 @@ class GraphConfig:
     """Graph-construction settings.
 
     alpha is the diffusion strength in (0, 1). The RBF bandwidth sigma^2 is
-    the variance rule of `adjacency` unless sigma2_override pins it.
+    the variance rule of `adjacency` unless sigma2_override pins it. Both are
+    real numbers (`numerics.as_number`), else ValueError.
     """
 
     alpha: float = 0.5
     sigma2_override: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if not 0.0 < self.alpha < 1.0:
+        if not 0.0 < numerics.as_number(self.alpha, "alpha") < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         override = self.sigma2_override
-        if override is not None:
-            if isinstance(override, bool) or not isinstance(override, numbers.Real):
-                raise ValueError(f"sigma2_override must be a real number, got {override!r}")
-            if not 0.0 < override < math.inf:
-                raise ValueError(f"sigma2_override must be finite and positive, got {override}")
+        if override is not None and not 0.0 < numerics.as_number(override, "sigma2_override") < math.inf:
+            raise ValueError(f"sigma2_override must be finite and positive, got {override}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +222,10 @@ def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
     I - alpha*L is positive definite for alpha in (0, 1) because the
     eigenvalues of the normalized adjacency lie in [-1, 1]; the Cholesky
     factorization in solve_spd checks that at the first `apply` or `matrix`
-    read, raising NotPositiveDefinite. `sigma2` only tags the result.
+    read, raising NotPositiveDefinite. `sigma2` only tags the result. `alpha`
+    is a real number (`numerics.as_number`) in (0, 1), else ValueError.
     """
+    alpha = numerics.as_number(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     lap = numerics.as_square(lap, "L")
@@ -238,7 +235,7 @@ def propagator(lap, alpha: float, sigma2: float = math.nan) -> Propagator:
     diagonal = 1.0 - np.diagonal(system)
     np.subtract(0.0, system, out=system)
     np.fill_diagonal(system, diagonal)
-    return Propagator(system=system, alpha=float(alpha), sigma2=float(sigma2))
+    return Propagator(system=system, alpha=alpha, sigma2=float(sigma2))
 
 
 def build_propagator(z, cfg: GraphConfig) -> Propagator:

@@ -34,7 +34,10 @@ def propagate_embeddings(
 
     P is applied as-is, without row normalization, so propagated rows are
     weighted sums rather than convex combinations and their norms change.
+    A `mode` that is not a PropagationMode raises ValueError before any graph.
     """
+    if not isinstance(mode, PropagationMode):
+        raise ValueError(f"unknown propagation mode {mode!r}")
     prop = graph.build_propagator(z, cfg)  # raises for a bad z, before it is read here
     z = numerics.as_real(z, "Z")
     if mode is PropagationMode.FULL:
@@ -45,8 +48,6 @@ def propagate_embeddings(
         ztilde = off @ z
     elif mode is PropagationMode.DIAGONAL_ONLY:
         ztilde = np.diagonal(prop.matrix)[:, None] * z
-    elif mode is PropagationMode.IDENTITY:
+    else:
         ztilde = z.copy()
-    else:  # not a PropagationMode, e.g. its string value
-        raise ValueError(f"unknown propagation mode {mode!r}")
     return ztilde, prop

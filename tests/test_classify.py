@@ -175,8 +175,8 @@ class TestPrototypicalScores:
     @pytest.mark.parametrize("query_dim, labels, n_classes, error, message", [
         (2, [0, 1], None, DimensionMismatch, "support and query dimensions differ"),
         (1, [0], None, DimensionMismatch, "one label per support row"),
-        (1, [0, -1], None, LabelOutOfRange, "negative class index"),
-        (1, [0, 2], 2, LabelOutOfRange, r"label index outside \[0, 2\)"),
+        (1, [0, -1], None, LabelOutOfRange, r"^class index -1 outside \[0, 1\)$"),
+        (1, [0, 2], 2, LabelOutOfRange, r"^class index 2 outside \[0, 2\)$"),
     ], ids=["widths", "label-count", "negative", "out-of-range"])
     def test_bad_inputs_rejected(self, query_dim, labels, n_classes, error, message):
         with pytest.raises(error, match=message):

@@ -603,8 +603,8 @@ class TestEvaluate:
             EvalConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("k_shot", 0, "k_shot and q_queries must be >= 1"),
-        ("q_queries", 0, "k_shot and q_queries must be >= 1"),
+        ("k_shot", 0, "k_shot must be >= 1, got 0"),
+        ("q_queries", 0, "q_queries must be >= 1, got 0"),
         ("u_unlabeled", -1, "u_unlabeled must be >= 0, got -1"),
     ], ids=["k_shot", "q_queries", "u_unlabeled"])
     def test_config_rejects_counts_below_their_range(self, field, value, message):

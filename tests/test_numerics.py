@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,19 +14,28 @@ import scipy
 from scipy.linalg import cho_factor, cho_solve, lapack
 
 from embedprop import numerics
-from embedprop.classify import label_propagation_scores
-from embedprop.diagnostics import compactness_metrics
-from embedprop.episodes import EmbeddingSet, confidence_interval95
+from embedprop.classify import build_label_matrix, label_propagation_scores, prototypical_scores
+from embedprop.diagnostics import (
+    batch_projections,
+    compactness_metrics,
+    gaussian_clusters,
+    interpolation_curve,
+    random_query_pairs,
+    two_moons,
+)
+from embedprop.episodes import EmbeddingSet, EvalConfig, confidence_interval95, sample_episode
 from embedprop.errors import (
     DimensionMismatch,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
 )
-from embedprop.graph import GraphConfig
+from embedprop.graph import GraphConfig, propagator
 from embedprop.numerics import (
     SYMMETRY_RTOL,
+    as_count,
     as_index,
+    as_number,
     as_matrix,
     as_square,
     solve_spd,
@@ -220,6 +231,39 @@ def test_as_index_reads_integers_and_empty_arrays(a):
     assert idx.dtype == np.intp and idx.tolist() == np.asarray(a).tolist()
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 2.5, 2.0, np.float64(2.0)])
+def test_as_count_rejects_non_integers(value):
+    # bool is a numbers.Integral: a bare isinstance check would read True as 1
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {re.escape(repr(value))}$"):
+        as_count(value, "n")
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), 10**30])
+def test_as_count_reads_integers_from_least_up(value):
+    count = as_count(value, "n", 2)
+    assert type(count) is int and count == value
+    assert as_count(-5, "n") == -5  # no bound unless `least` is given
+
+
+@pytest.mark.parametrize("least, value", [(2, 1), (0, -1), (1, np.int64(0))])
+def test_as_count_rejects_values_below_least(least, value):
+    with pytest.raises(ValueError, match=rf"^n must be >= {least}, got {value}$"):
+        as_count(value, "n", least)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 0.5j, np.complex128(0.5)])
+def test_as_number_rejects_non_reals(value):
+    with pytest.raises(ValueError, match=rf"^x must be a real number, got {re.escape(repr(value))}$"):
+        as_number(value, "x")
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(2), math.inf])
+def test_as_number_reads_reals(value):
+    number = as_number(value, "x")
+    assert type(number) is float and number == value
+    assert math.isnan(as_number(math.nan, "x"))  # ranges are the caller's
+
+
 def test_as_matrix_rejects_nan_and_bad_shape():
     with pytest.raises(NonFiniteInput):
         as_matrix(np.array([[1.0, np.nan]]))
@@ -351,3 +395,68 @@ _Z = np.ones((3, 2))
 def test_complex_input_raises_instead_of_dropping_imaginary_part(call, value, name):
     with pytest.raises(TypeError, match=rf"^{name} must be real, got dtype complex128$"):
         call(value)
+
+
+def _episode_args():
+    """A two-class set, its config and one sampled episode, for the diagnostics."""
+    data = gaussian_clusters(2, 10, spread=0.3, seed=0)
+    cfg = EvalConfig(n_way=2, k_shot=1, q_queries=2, episodes=1)
+    return data, cfg, sample_episode(data, cfg, 0)
+
+
+def _interpolation_curve(**kw):
+    data, cfg, ep = _episode_args()
+    args = dict(i=ep.n_support, j=ep.n_support + ep.q_queries, grid_size=3) | kw
+    return interpolation_curve(data, ep, cfg=cfg, **args)
+
+
+# public entry point -> (call with keyword overrides, its counts, its real numbers,
+# those of its arguments for which None is a valid value)
+PUBLIC_SCALARS = {
+    "EvalConfig": (EvalConfig, ("n_way", "k_shot", "q_queries", "u_unlabeled", "episodes",
+                                "seed"), ("labeled_fraction",), ()),
+    "GraphConfig": (GraphConfig, (), ("alpha", "sigma2_override"), ("sigma2_override",)),
+    "propagator": (lambda **kw: propagator(np.zeros((2, 2)), **kw), (), ("alpha",), ()),
+    "build_label_matrix": (
+        lambda **kw: build_label_matrix(**(dict(n_nodes=3, n_classes=2) | kw), rows=[0],
+                                        classes=[0]),
+        ("n_nodes", "n_classes"), (), ()),
+    "prototypical_scores": (
+        lambda **kw: prototypical_scores(np.array([[0.0], [1.0]]), [0, 1], np.zeros((1, 1)), **kw),
+        ("n_classes",), (), ("n_classes",)),
+    "interpolation_curve": (_interpolation_curve, ("i", "j", "grid_size"), (), ()),
+    "random_query_pairs": (
+        lambda **kw: random_query_pairs(_episode_args()[2], rng=np.random.default_rng(0), **kw),
+        ("count",), (), ()),
+    "two_moons": (lambda **kw: two_moons(**(dict(n_per_moon=5, noise_sd=0.1) | kw), seed=0),
+                  ("n_per_moon",), ("noise_sd",), ()),
+    "gaussian_clusters": (
+        lambda **kw: gaussian_clusters(**(dict(n_classes=3, n_per_class=4, spread=0.3) | kw),
+                                       seed=0),
+        ("n_classes", "n_per_class", "dim"), ("spread",), ("dim",)),
+    "batch_projections": (
+        lambda **kw: batch_projections(two_moons(5, 0.1, seed=0), cfg=GraphConfig(), seed=0,
+                                       **(dict(n_batches=1, batch_size=3) | kw)),
+        ("n_batches", "batch_size"), (), ()),
+}
+BAD_COUNTS = [True, np.True_, "1", None, 2.5]
+BAD_REALS = [True, np.True_, "1", None, math.nan]
+
+
+def _bad_scalar_cases():
+    for entry, (_, counts, reals, optional) in PUBLIC_SCALARS.items():
+        for names, values in ((counts, BAD_COUNTS), (reals, BAD_REALS)):
+            for name in names:
+                for value in values:
+                    if value is None and name in optional:
+                        continue
+                    yield pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("entry, name, value", _bad_scalar_cases())
+def test_public_scalars_follow_one_rule(entry, name, value):
+    # a bool is never read as 0 or 1, a string or a float count never reaches
+    # numpy, and NaN fails every range of a real
+    call = PUBLIC_SCALARS[entry][0]
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call(**{name: value})

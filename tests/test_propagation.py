@@ -8,6 +8,7 @@ from embedprop.diagnostics import compactness_metrics, gaussian_clusters
 from embedprop.errors import DimensionMismatch, InvalidDistanceMatrix, NonFiniteInput
 from embedprop.graph import GraphConfig
 from embedprop.numerics import BLOCK_ELEMENTS
+from embedprop import propagation
 from embedprop.propagation import PropagationMode, propagate_embeddings
 
 WORKED_Z = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -40,6 +41,17 @@ def test_mode_must_be_a_propagation_mode():
     # the string value of a mode is not the mode
     with pytest.raises(ValueError, match="unknown propagation mode 'full'"):
         propagate_embeddings(np.eye(3), GraphConfig(), "full")
+
+
+@pytest.mark.parametrize("mode", ["full", None, 0])
+def test_bad_mode_raises_before_the_graph_is_built(monkeypatch, mode):
+    # a graph costs n^2 work and memory; a bad mode must not pay for one first
+    def fail(*args, **kwargs):
+        raise AssertionError("build_propagator reached")
+
+    monkeypatch.setattr(propagation.graph, "build_propagator", fail)
+    with pytest.raises(ValueError, match=f"^unknown propagation mode {re.escape(repr(mode))}$"):
+        propagate_embeddings(np.eye(3), GraphConfig(), mode)
 
 
 def test_overflowing_difference_is_invalid_distance():
