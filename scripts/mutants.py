@@ -146,6 +146,19 @@ MUTANTS = {
         [(NUMERICS, '    if getattr(_pool_thread, "marked", False):\n        return 1\n', "")],
         ["tests/test_graph.py"],
     ),
+    # the pool's threads are never marked, so a kernel on one starts a pool
+    # of its own: pools nest
+    "pool-threads-unmarked": (
+        [(NUMERICS, "ThreadPoolExecutor(workers, initializer=_mark_pool_thread)",
+          "ThreadPoolExecutor(workers)")],
+        ["tests/test_graph.py"],
+    ),
+    # numpy's bool cast reads a float, int or string mask as all True
+    "mask-accepts-any-dtype": (
+        [(EPISODES, "mask = np.asarray(self.labeled_mask)\n",
+          "mask = np.asarray(self.labeled_mask, dtype=bool)\n")],
+        ["tests/test_episodes.py"],
+    ),
     # an untagged file's report would read "split": [] rather than null
     "parsers-keep-all-none-split": (
         [(EPISODES, "            if all(s is None for s in split):\n                split = None\n",

@@ -130,14 +130,15 @@ def two_moons(n_per_moon: int, noise_sd: float, seed: int) -> EmbeddingSet:
     """Two interleaved half-circles with isotropic Gaussian noise.
 
     Moon 0 traces (cos t, sin t) and moon 1 traces (1 - cos t, 0.5 - sin t)
-    for t uniform on [0, pi]; labels are the moon names. `n_per_moon` >= 1 and
-    `noise_sd` >= 0 go through `numerics.as_count` and `as_number`.
+    for t uniform on [0, pi]; labels are the moon names. `n_per_moon` >= 1,
+    `noise_sd` >= 0 and `seed` >= 0 go through `numerics.as_count` and
+    `as_number`.
     """
     n_per_moon = numerics.as_count(n_per_moon, "n_per_moon", 1)
     noise_sd = numerics.as_number(noise_sd, "noise_sd")
     if not (math.isfinite(noise_sd) and noise_sd >= 0):
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(numerics.as_count(seed, "seed", 0))
     t0 = rng.uniform(0.0, math.pi, n_per_moon)
     t1 = rng.uniform(0.0, math.pi, n_per_moon)
     upper = np.column_stack([np.cos(t0), np.sin(t0)])
@@ -159,7 +160,8 @@ def gaussian_clusters(
 
     `spread` is the per-coordinate standard deviation, so the ratio of
     within-class spread to inter-center distance is spread / sqrt(2). The
-    counts go through `numerics.as_count` and `spread` through `as_number`.
+    counts and `seed` go through `numerics.as_count` and `spread` through
+    `as_number`.
     """
     n_classes = numerics.as_count(n_classes, "n_classes", 2)
     n_per_class = numerics.as_count(n_per_class, "n_per_class", 1)
@@ -169,7 +171,7 @@ def gaussian_clusters(
     dim = n_classes if dim is None else numerics.as_count(dim, "dim")
     if dim < n_classes:
         raise ValueError(f"dim must be >= n_classes, got {dim} < {n_classes}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(numerics.as_count(seed, "seed", 0))
     blocks = []
     for c in range(n_classes):
         center = np.zeros(dim)
@@ -219,12 +221,13 @@ def batch_projections(
     """Propagate random subsets repeatedly (FULL mode), one output row per (point, batch).
 
     Shows how the same point lands in different places depending on which
-    batch it is propagated with. Both counts go through `numerics.as_count`.
+    batch it is propagated with. Both counts and `seed` go through
+    `numerics.as_count`.
     """
     if not 1 <= numerics.as_count(batch_size, "batch_size") <= data.n:
         raise ValueError(f"batch_size must lie in [1, {data.n}], got {batch_size}")
     n_batches = numerics.as_count(n_batches, "n_batches", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(numerics.as_count(seed, "seed", 0))
     points = []
     coords = []
     for _ in range(n_batches):

@@ -127,7 +127,10 @@ class Episode:
         support = numerics.as_index(self.support, "support")
         query = numerics.as_index(self.query, "query")
         unlabeled = numerics.as_index(self.unlabeled, "unlabeled").reshape(-1)
-        mask = np.asarray(self.labeled_mask, dtype=bool)
+        mask = np.asarray(self.labeled_mask)
+        if mask.dtype != bool:
+            # numpy's cast reads any nonzero number or non-empty string as True
+            raise TypeError(f"labeled_mask must hold booleans, got dtype {mask.dtype}")
         classes = tuple(str(c) for c in self.classes)
         if len(set(classes)) != len(classes):
             raise InvariantViolation(f"duplicate class identifiers in {classes}")
@@ -184,7 +187,8 @@ class Episode:
 @dataclass(frozen=True)
 class EvalConfig:
     """Episode layout plus pipeline configuration for the harness; the counts and
-    labeled_fraction go through `numerics.as_count` and `numerics.as_number`."""
+    labeled_fraction go through `numerics.as_count` and `numerics.as_number`,
+    and the config stores the plain int and float they return."""
 
     n_way: int = 5
     k_shot: int = 1
@@ -201,11 +205,10 @@ class EvalConfig:
     def __post_init__(self):
         for name, least in (("n_way", 2), ("k_shot", 1), ("q_queries", 1), ("u_unlabeled", 0),
                             ("episodes", 1), ("seed", 0)):
-            numerics.as_count(getattr(self, name), name, least)
+            object.__setattr__(self, name, numerics.as_count(getattr(self, name), name, least))
         if not self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not 0.0 < numerics.as_number(self.labeled_fraction, "labeled_fraction") <= 1.0:
-            raise ValueError(f"labeled_fraction must lie in (0, 1], got {self.labeled_fraction}")
+        object.__setattr__(self, "labeled_fraction", _fraction(self.labeled_fraction))
         for name, kind in (("graph", GraphConfig), ("mode", PropagationMode),
                            ("classifier", Classifier), ("ssl", SslMode)):
             if not isinstance(getattr(self, name), kind):
@@ -224,9 +227,21 @@ class EvalReport:
     split: tuple[str, ...] | None
 
 
+def _fraction(labeled_fraction) -> float:
+    """`labeled_fraction` as a float in (0, 1]; ValueError otherwise."""
+    fraction = numerics.as_number(labeled_fraction, "labeled_fraction")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"labeled_fraction must lie in (0, 1], got {fraction}")
+    return fraction
+
+
 def labeled_count(labeled_fraction: float, k_shot: int) -> int:
-    """Supports labeled per class: ceil(fraction * k), guarded against float dust, at least 1."""
-    return max(1, math.ceil(labeled_fraction * k_shot - 1e-9))
+    """Supports labeled per class: ceil(fraction * k), guarded against float dust, at least 1.
+
+    `labeled_fraction` in (0, 1] and `k_shot` >= 1 follow `EvalConfig`'s rule.
+    """
+    fraction = _fraction(labeled_fraction)
+    return max(1, math.ceil(fraction * numerics.as_count(k_shot, "k_shot", 1) - 1e-9))
 
 
 def episode_rng(seed: int, episode_index: int) -> np.random.Generator:
@@ -240,9 +255,10 @@ def sample_episode(data: EmbeddingSet, cfg: EvalConfig, episode_index: int) -> E
     Classes are sampled uniformly without replacement among classes large
     enough for the layout (k + q + per-class unlabeled quota rows). The
     unlabeled pool is drawn class-balanced from the episode's own classes.
-    Deterministic given (cfg.seed, episode_index).
+    Deterministic given (cfg.seed, episode_index); `episode_index` >= 0 goes
+    through `numerics.as_count`.
     """
-    rng = episode_rng(cfg.seed, episode_index)
+    rng = episode_rng(cfg.seed, numerics.as_count(episode_index, "episode_index", 0))
     by_class = data.class_rows()
     all_classes = sorted(by_class.keys())
     if len(all_classes) < cfg.n_way:

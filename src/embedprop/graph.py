@@ -38,18 +38,24 @@ class GraphConfig:
 
     alpha is the diffusion strength in (0, 1). The RBF bandwidth sigma^2 is
     the variance rule of `adjacency` unless sigma2_override pins it. Both are
-    real numbers (`numerics.as_number`), else ValueError.
+    real numbers (`numerics.as_number`), else ValueError, and stored as the
+    floats it returns.
     """
 
     alpha: float = 0.5
     sigma2_override: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < numerics.as_number(self.alpha, "alpha") < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        alpha = numerics.as_number(self.alpha, "alpha")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
         override = self.sigma2_override
-        if override is not None and not 0.0 < numerics.as_number(override, "sigma2_override") < math.inf:
-            raise ValueError(f"sigma2_override must be finite and positive, got {override}")
+        if override is not None:
+            override = numerics.as_number(override, "sigma2_override")
+            if not 0.0 < override < math.inf:
+                raise ValueError(f"sigma2_override must be finite and positive, got {override}")
+            object.__setattr__(self, "sigma2_override", override)
 
 
 @dataclass(frozen=True)

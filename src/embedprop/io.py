@@ -233,6 +233,8 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report(report: EvalReport, path) -> None:
+    """Write the report's JSON to `path`; a report that cannot be serialized
+    raises before the file is opened, so an existing file keeps its bytes."""
+    text = json.dumps(report_to_dict(report), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -18,8 +18,8 @@ made by `graph.adjacency` and `solve_spd`), and the physical-memory check that
 
 So does the thread policy of the library's two parallel jobs, the episodes
 of `episodes.evaluate` and the distance triangle of one batch: one size rule
-(`workers_for`) and one executor (`parallel_map`), whose threads, marked,
-start no pool of their own.
+(`workers_for`) and one executor (`parallel_map`), a standard thread pool
+whose threads, marked as they start, start no pool of their own.
 """
 
 import importlib.machinery
@@ -61,7 +61,8 @@ BLOCK_ELEMENTS = 1 << 17
 # Worker count when EP_THREADS is unset, before the cap at the usable CPUs.
 _DEFAULT_MAX_WORKERS = 8
 
-# Marks the threads of `parallel_map`; `workers_for` gives a job on one 1.
+# Marks the threads of `parallel_map`'s pools, set once by the pool's
+# initializer; `workers_for` gives a job on one 1.
 _pool_thread = threading.local()
 
 
@@ -168,30 +169,22 @@ def workers_for(elements: int) -> int:
     return workers if elements >= BLOCK_ELEMENTS else 1
 
 
+def _mark_pool_thread() -> None:
+    _pool_thread.marked = True
+
+
 def parallel_map(task, items, workers: int) -> list:
-    """[task(item) for item in items] on min(workers, len(items)) threads: the
-    calling thread and, beside it, a pool started for this call. Thread k
-    maps items k, k + workers, ... and is marked while it does, so that
-    `workers_for` gives 1 on it. numpy's error state does not follow a task
-    into a pool thread, so `task` sets its own."""
+    """[task(item) for item in items], in item order, on a pool of min(workers,
+    len(items)) threads started for this call while the caller waits; on the
+    calling thread when that is at most one. Each pool thread is marked when
+    it starts, so that `workers_for` gives 1 on it, and the mark ends with the
+    thread. numpy's error state does not follow a task into a pool thread, so
+    `task` sets its own."""
     workers = min(workers, len(items))
     if workers <= 1:
         return [task(item) for item in items]
-    results = [None] * len(items)
-
-    # only an unmarked thread gets here: on a marked one `workers_for` gives 1
-    def run(k):
-        _pool_thread.marked = True
-        try:
-            results[k::workers] = [task(item) for item in items[k::workers]]
-        finally:
-            _pool_thread.marked = False
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = pool.map(run, range(1, workers))
-        run(0)
-        list(rest)
-    return results
+    with ThreadPoolExecutor(workers, initializer=_mark_pool_thread) as pool:
+        return list(pool.map(task, items))
 
 
 def upper_shares(n: int, depth: int, workers: int) -> list:

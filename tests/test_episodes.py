@@ -272,6 +272,31 @@ class TestEpisode:
         with pytest.raises(TypeError, match=f"^{field} must hold integers, got dtype "):
             Episode(**layout)
 
+    @pytest.mark.parametrize("mask", [
+        [[0.5], [2.0]], [[1], [1]], [["no"], ["x"]], np.ones((2, 1), dtype=object),
+    ], ids=["float", "int", "str", "object"])
+    def test_non_bool_mask_rejected(self, mask):
+        # numpy's bool cast would read each of these as all True
+        with pytest.raises(TypeError, match="^labeled_mask must hold booleans, got dtype "):
+            Episode(
+                classes=("a", "b"),
+                support=np.array([[0], [2]]),
+                query=np.array([[1], [3]]),
+                unlabeled=np.empty(0, dtype=np.intp),
+                labeled_mask=mask,
+            )
+
+    def test_bool_mask_list_accepted(self):
+        ep = Episode(
+            classes=("a", "b"),
+            support=np.array([[0, 4], [2, 5]]),
+            query=np.array([[1], [3]]),
+            unlabeled=[],
+            labeled_mask=[[True, False], [False, True]],
+        )
+        assert ep.labeled_mask.dtype == bool
+        assert ep.labeled_mask.tolist() == [[True, False], [False, True]]
+
     def test_empty_unlabeled_list_accepted(self):
         ep = Episode(
             classes=("a", "b"),

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -449,7 +451,7 @@ def test_apply_matches_dense_solve_property(seed, n, alpha, log_scale, duplicate
 
 
 def _usable_cpus(monkeypatch, count=4):
-    # the split path starts real threads; at most count - 1 beside the caller
+    # the split path starts real threads, at most count of them
     monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
@@ -536,6 +538,43 @@ class TestSplitPath:
         assert peak <= 8 * n * n + 8 * max(BLOCK_ELEMENTS, workers * n * m) + (1 << 16)
 
 
+class TestParallelMap:
+    # two workers on four usable CPUs: every map below starts a pool of two
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        _usable_cpus(monkeypatch)
+        monkeypatch.setenv("EP_THREADS", "2")
+
+    def test_results_keep_item_order_under_uneven_tasks(self):
+        def task(i):
+            time.sleep(0.002 * (5 - i))  # early items finish last
+            return i * i
+
+        assert numerics.parallel_map(task, range(6), 2) == [i * i for i in range(6)]
+
+    def test_tasks_run_on_marked_pool_threads(self):
+        caller = threading.get_ident()
+
+        def task(_):
+            return threading.get_ident(), numerics.workers_for(BLOCK_ELEMENTS)
+
+        seen = numerics.parallel_map(task, range(8), 2)
+        assert all(ident != caller for ident, _ in seen)
+        assert all(workers == 1 for _, workers in seen)
+        assert numerics.workers_for(BLOCK_ELEMENTS) == 2  # the caller is never marked
+
+    def test_task_error_reaches_the_caller(self):
+        def task(i):
+            if i == 3:
+                raise ValueError("item 3")
+            return i
+
+        with pytest.raises(ValueError, match="^item 3$"):
+            numerics.parallel_map(task, range(6), 2)
+        assert numerics.workers_for(BLOCK_ELEMENTS) == 2
+
+
 def count_pools(monkeypatch):
     """The thread count of every pool `numerics.parallel_map` starts, in order."""
     started = []
@@ -560,14 +599,14 @@ class TestNoNestedPools:
         cfg = EvalConfig(n_way=5, k_shot=5, q_queries=15, u_unlabeled=20, episodes=2)
         started = count_pools(monkeypatch)
         evaluate(data, cfg)
-        # two workers: the calling thread and a pool of one thread beside it
-        assert started == [1]
-        assert numerics.workers_for(BLOCK_ELEMENTS) == 2  # the caller is unmarked again
+        # two workers: a pool of two threads while the caller waits
+        assert started == [2]
+        assert numerics.workers_for(BLOCK_ELEMENTS) == 2  # the caller is never marked
 
     @pytest.mark.parametrize("threads, episodes", [("2", 5), ("4", 3), ("2", 1)])
     def test_evaluate_pools_by_episode_size(self, threads, episodes, monkeypatch):
         # 100 rows x 8 = 80 000 elements run on the calling thread; 80 rows x
-        # 640 get min(thread_count(), episodes) workers, the caller among them
+        # 640 get a pool of min(thread_count(), episodes) threads
         _usable_cpus(monkeypatch)
         monkeypatch.setenv("EP_THREADS", threads)
         started = count_pools(monkeypatch)
@@ -577,14 +616,14 @@ class TestNoNestedPools:
         evaluate(gaussian_clusters(5, 16, spread=0.4, seed=8, dim=640),
                  EvalConfig(n_way=5, k_shot=1, q_queries=15, episodes=episodes))
         workers = min(numerics.thread_count(), episodes)
-        assert started == ([workers - 1] if workers > 1 else [])
+        assert started == ([workers] if workers > 1 else [])
 
     def test_direct_call_starts_one_pool(self, monkeypatch):
         _usable_cpus(monkeypatch)
         monkeypatch.setenv("EP_THREADS", "2")
         started = count_pools(monkeypatch)
         pairwise_sq_distances(np.random.default_rng(9).normal(size=(2000, 64)))
-        assert started == [1]
+        assert started == [2]
 
 
 @given(

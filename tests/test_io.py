@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from embedprop.episodes import EmbeddingSet, EvalConfig, evaluate
 from embedprop import io
 from embedprop.errors import InvariantViolation, ParseError
+from embedprop.graph import GraphConfig
 from embedprop.io import MAGIC, load_embeddings, report_to_dict, save_embeddings, write_report
 
 
@@ -749,3 +751,32 @@ class TestReport:
         loaded = json.loads(path.read_text())
         assert loaded["accuracies"] == list(report.accuracies)
         assert loaded["mean"] == report.mean
+
+    def test_numpy_scalar_config_reports_as_the_plain_one(self, tmp_path):
+        # the configs store the int and float the scalar rule returns, so a
+        # config built from numpy scalars serializes like the plain one
+        data = EmbeddingSet(np.random.default_rng(4).normal(size=(30, 3)), ("a", "b", "c") * 10)
+        plain = EvalConfig(n_way=3, k_shot=2, q_queries=3, labeled_fraction=0.5, episodes=2,
+                           seed=6, graph=GraphConfig(alpha=0.25, sigma2_override=2.0))
+        numpy = EvalConfig(n_way=np.int64(3), k_shot=np.int32(2), q_queries=np.uint8(3),
+                           labeled_fraction=np.float32(0.5), episodes=np.int64(2),
+                           seed=np.uint64(6),
+                           graph=GraphConfig(alpha=np.float64(0.25), sigma2_override=np.int64(2)))
+        assert numpy == plain
+        texts = []
+        for cfg in (plain, numpy):
+            path = tmp_path / "report.json"
+            write_report(evaluate(data, cfg), path)
+            loaded = json.loads(path.read_text())
+            del loaded["wall_ms"]
+            texts.append(json.dumps(loaded))
+        assert texts[0] == texts[1]
+
+    def test_failed_serialization_leaves_the_file(self, tmp_path):
+        data = EmbeddingSet(np.random.default_rng(4).normal(size=(20, 2)), ("a", "b") * 10)
+        report = evaluate(data, EvalConfig(n_way=2, k_shot=1, q_queries=2, episodes=1))
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier report\n")
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report(dataclasses.replace(report, wall_ms=np.int64(3)), path)
+        assert path.read_bytes() == b"earlier report\n"

@@ -23,7 +23,13 @@ from embedprop.diagnostics import (
     random_query_pairs,
     two_moons,
 )
-from embedprop.episodes import EmbeddingSet, EvalConfig, confidence_interval95, sample_episode
+from embedprop.episodes import (
+    EmbeddingSet,
+    EvalConfig,
+    confidence_interval95,
+    labeled_count,
+    sample_episode,
+)
 from embedprop.errors import (
     DimensionMismatch,
     NonFiniteInput,
@@ -428,16 +434,20 @@ PUBLIC_SCALARS = {
     "random_query_pairs": (
         lambda **kw: random_query_pairs(_episode_args()[2], rng=np.random.default_rng(0), **kw),
         ("count",), (), ()),
-    "two_moons": (lambda **kw: two_moons(**(dict(n_per_moon=5, noise_sd=0.1) | kw), seed=0),
-                  ("n_per_moon",), ("noise_sd",), ()),
+    "two_moons": (lambda **kw: two_moons(**(dict(n_per_moon=5, noise_sd=0.1, seed=0) | kw)),
+                  ("n_per_moon", "seed"), ("noise_sd",), ()),
     "gaussian_clusters": (
-        lambda **kw: gaussian_clusters(**(dict(n_classes=3, n_per_class=4, spread=0.3) | kw),
-                                       seed=0),
-        ("n_classes", "n_per_class", "dim"), ("spread",), ("dim",)),
+        lambda **kw: gaussian_clusters(
+            **(dict(n_classes=3, n_per_class=4, spread=0.3, seed=0) | kw)),
+        ("n_classes", "n_per_class", "dim", "seed"), ("spread",), ("dim",)),
     "batch_projections": (
-        lambda **kw: batch_projections(two_moons(5, 0.1, seed=0), cfg=GraphConfig(), seed=0,
-                                       **(dict(n_batches=1, batch_size=3) | kw)),
-        ("n_batches", "batch_size"), (), ()),
+        lambda **kw: batch_projections(two_moons(5, 0.1, seed=0), cfg=GraphConfig(),
+                                       **(dict(n_batches=1, batch_size=3, seed=0) | kw)),
+        ("n_batches", "batch_size", "seed"), (), ()),
+    "labeled_count": (lambda **kw: labeled_count(**(dict(labeled_fraction=0.5, k_shot=2) | kw)),
+                      ("k_shot",), ("labeled_fraction",), ()),
+    "sample_episode": (lambda episode_index: sample_episode(*_episode_args()[:2], episode_index),
+                       ("episode_index",), (), ()),
 }
 BAD_COUNTS = [True, np.True_, "1", None, 2.5]
 BAD_REALS = [True, np.True_, "1", None, math.nan]

@@ -9,10 +9,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, args, monkeypatch):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, args, monkeypatch):
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [name, *args])
     module.main()
 
@@ -80,6 +85,18 @@ def test_fidelity(monkeypatch, capsys):
         ["5shot-w8", "1/sqrt(m)", "0"], ["5shot-w8", "1/sqrt(m)", "100"],
     ]
     assert all(0.0 <= float(acc) <= 1.0 for line in lines[2:] for acc in line.split()[3:])
+
+
+def test_mutant_catalogue_is_current():
+    # every patch text still occurs in its file and every named test file
+    # exists, so `scripts/mutants.py` can apply and run each mutant
+    mutants = load_script("mutants")
+    stale = []
+    for name, (patches, tests) in mutants.MUTANTS.items():
+        stale += [(name, rel, text) for rel, text, _ in patches
+                  if text not in (mutants.ROOT / rel).read_text(encoding="utf-8")]
+        stale += [(name, test) for test in tests if not (mutants.ROOT / test).is_file()]
+    assert stale == []
 
 
 def test_mutants_kills_alpha_negated(monkeypatch, capsys):
